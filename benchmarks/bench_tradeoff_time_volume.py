@@ -2,7 +2,8 @@
 
 The paper measures data volume only; the wider wrapper/TAM literature
 optimizes time.  This bench charts both on d695 through the unified
-co-optimization API: test time falls with TAM width while delivered
+co-optimization API (``design_space``, which replaced the removed
+``time_volume_tradeoff``): test time falls with TAM width while delivered
 volume rises — the projection the paper's useful-bits analysis makes
 explicit — and the binpack portfolio never trails the greedy baseline.
 """

@@ -180,6 +180,7 @@ class JobServer:
         self.port: Optional[int] = None
         self._running_batch = False
         self._stopping = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._wake: Optional[asyncio.Event] = None
         self._stopped: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -188,8 +189,11 @@ class JobServer:
 
     async def serve(self, ready: Optional[asyncio.Event] = None) -> None:
         """Bind, load any spooled backlog, and serve until shut down."""
+        self._loop = asyncio.get_running_loop()
         self._wake = asyncio.Event()
         self._stopped = asyncio.Event()
+        if self._stopping:  # shut down before the loop existed
+            self._stopped.set()
         with use_tracer(self.tracer) if self.tracer is not None else _nullcontext():
             self._load_spool()
             self._server = await asyncio.start_server(
@@ -225,11 +229,24 @@ class JobServer:
         return 0
 
     def shutdown(self) -> None:
+        """Stop serving; safe to call from any thread.
+
+        The loop's events are only set on the loop's own thread:
+        ``asyncio.Event`` is not thread-safe, and setting it from
+        another thread never wakes the loop.
+        """
         self._stopping = True
-        if self._stopped is not None:
-            self._stopped.set()
-        if self._wake is not None:
-            self._wake.set()
+        if self._loop is None:
+            return  # serve() sees _stopping when it starts
+        try:
+            self._loop.call_soon_threadsafe(self._signal_stop)
+        except RuntimeError:  # the loop has already closed
+            pass
+
+    def _signal_stop(self) -> None:
+        assert self._stopped is not None and self._wake is not None
+        self._stopped.set()
+        self._wake.set()
 
     # -- resume ----------------------------------------------------------
 

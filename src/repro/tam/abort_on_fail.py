@@ -15,11 +15,10 @@ expectation so the claim is testable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Sequence
 
 from ..errors import ConfigError
-from .architectures import CoreTestSpec, _wrapper
-from .types import TamResult
+from .types import CoreTestSpec, TamResult
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ def expected_abort_time(
     expected = 0.0
     survive = 1.0
     for spec in ordered_specs:
-        time = _wrapper(spec, tam_width).test_time_cycles(spec.patterns)
+        time = spec.test_time_cycles(tam_width)
         expected += survive * time
         survive *= 1.0 - probabilities[spec.name]
     return expected
@@ -69,7 +68,7 @@ def order_abort_aware(
     so sorting by ``p/t`` descending is a local—and hence global—minimum.
     """
     def ratio(spec: CoreTestSpec) -> float:
-        time = _wrapper(spec, tam_width).test_time_cycles(spec.patterns)
+        time = spec.test_time_cycles(tam_width)
         return probabilities[spec.name] / time if time else float("inf")
 
     return sorted(specs, key=ratio, reverse=True)
@@ -79,10 +78,7 @@ def order_shortest_first(
     specs: Sequence[CoreTestSpec], tam_width: int
 ) -> List[CoreTestSpec]:
     """The naive fail-probability-blind baseline."""
-    return sorted(
-        specs,
-        key=lambda spec: _wrapper(spec, tam_width).test_time_cycles(spec.patterns),
-    )
+    return sorted(specs, key=lambda spec: spec.test_time_cycles(tam_width))
 
 
 @dataclass
@@ -115,12 +111,7 @@ def study(
             raise KeyError(f"no fail probability for core {spec.name!r}")
     naive = order_shortest_first(specs, tam_width)
     optimized = order_abort_aware(specs, probabilities, tam_width)
-    pass_time = float(
-        sum(
-            _wrapper(spec, tam_width).test_time_cycles(spec.patterns)
-            for spec in specs
-        )
-    )
+    pass_time = float(sum(spec.test_time_cycles(tam_width) for spec in specs))
     return AbortOnFailStudy(
         tam_width=tam_width,
         pass_time=pass_time,

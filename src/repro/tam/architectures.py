@@ -91,10 +91,9 @@ def multiplexing_architecture(
     useful = 0
     shifted = 0
     for spec in specs:
-        design = _wrapper(spec, tam_width)
-        total_time += design.test_time_cycles(spec.patterns)
-        useful += spec.patterns * design.useful_bits_per_pattern()
-        shifted += spec.patterns * design.shifted_bits_per_pattern()
+        total_time += spec.test_time_cycles(tam_width)
+        useful += spec.patterns * spec.useful_bits_per_pattern
+        shifted += spec.shifted_bits(tam_width)
     return ArchitectureResult(
         architecture="multiplexing",
         tam_width=tam_width,
@@ -152,23 +151,14 @@ def distribution_architecture(
         )
     widths = {spec.name: 1 for spec in specs}
     spare = tam_width - len(specs)
-    times = {
-        spec.name: _wrapper(spec, 1).test_time_cycles(spec.patterns) for spec in specs
-    }
+    times = {spec.name: spec.test_time_cycles(1) for spec in specs}
     by_name = {spec.name: spec for spec in specs}
     for _ in range(spare):
         bottleneck = max(times, key=times.__getitem__)
         widths[bottleneck] += 1
-        spec = by_name[bottleneck]
-        times[bottleneck] = _wrapper(spec, widths[bottleneck]).test_time_cycles(
-            spec.patterns
-        )
-    useful = 0
-    shifted = 0
-    for spec in specs:
-        design = _wrapper(spec, widths[spec.name])
-        useful += spec.patterns * design.useful_bits_per_pattern()
-        shifted += spec.patterns * design.shifted_bits_per_pattern()
+        times[bottleneck] = by_name[bottleneck].test_time_cycles(widths[bottleneck])
+    useful = sum(spec.patterns * spec.useful_bits_per_pattern for spec in specs)
+    shifted = sum(spec.shifted_bits(widths[spec.name]) for spec in specs)
     return ArchitectureResult(
         architecture="distribution",
         tam_width=tam_width,

@@ -25,28 +25,12 @@ makespan, so its result is never worse than ``"greedy"`` for the same
 problem and candidate widths.  Pure best-fit usually wins outright;
 the portfolio turns "usually" into an invariant the experiment and CI
 can assert.
-
-The old per-module entry points (``cooptimize(specs, tam_width)``,
-``CoOptimizationResult``, ``time_volume_tradeoff``) keep working
-through :class:`DeprecationWarning` shims in
-:mod:`repro.tam.cooptimization` and the package root.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import (
-    Any,
-    ClassVar,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, ClassVar, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
 from ..observability import get_tracer, register_counter
@@ -66,8 +50,8 @@ TAM_COOPTIMIZATIONS = register_counter(
 #: Scheduler names accepted by :func:`cooptimize` (and the CLI flag).
 SCHEDULERS: Tuple[str, ...] = ("serial", "greedy", "binpack")
 
-#: The greedy width-enumeration candidates of the legacy API, kept as
-#: the default so old and new calls see identical schedules.
+#: The greedy width-enumeration candidates (the historical default, so
+#: schedules stay identical across releases).
 DEFAULT_CANDIDATE_WIDTHS: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
 
@@ -251,7 +235,7 @@ def _solve(
 
 
 def cooptimize(
-    problem: Union[TamProblem, Sequence[CoreTestSpec]],
+    problem: TamProblem,
     tam_width: Optional[int] = None,
     candidate_widths: Optional[Sequence[int]] = None,
     *,
@@ -260,31 +244,18 @@ def cooptimize(
 ) -> CoOptResult:
     """Solve one wrapper/TAM co-optimization problem.
 
-    New-style: ``cooptimize(TamProblem(...), scheduler="binpack",
-    runtime=runtime)``.  ``candidate_widths`` feeds the greedy
-    width-enumeration (and the binpack portfolio's baseline arm);
-    the best-fit packer itself always works from the cores' full
-    Pareto staircases.
-
-    Legacy-style ``cooptimize(specs, tam_width)`` still works — it maps
-    onto ``scheduler="greedy"`` with the historical candidate widths and
-    emits a :class:`DeprecationWarning`.
+    ``cooptimize(TamProblem(...), scheduler="binpack", runtime=runtime)``.
+    ``candidate_widths`` feeds the greedy width-enumeration (and the
+    binpack portfolio's baseline arm); the best-fit packer itself always
+    works from the cores' full Pareto staircases.  The width belongs to
+    the problem: passing ``tam_width`` here, or a bare spec sequence
+    instead of a :class:`TamProblem`, is a :class:`ConfigError`.
     """
     if not isinstance(problem, TamProblem):
-        warnings.warn(
-            "cooptimize(specs, tam_width) is deprecated; build a "
-            "TamProblem and call cooptimize(problem, scheduler=...)",
-            DeprecationWarning,
-            stacklevel=2,
+        raise ConfigError(
+            f"cooptimize needs a TamProblem, got {type(problem).__name__}"
         )
-        specs = tuple(problem)
-        if not specs:
-            raise ConfigError("no cores to schedule")
-        if tam_width is None:
-            raise ConfigError("legacy cooptimize(specs, ...) needs tam_width")
-        problem = TamProblem(cores=specs, tam_width=tam_width)
-        scheduler = "greedy"
-    elif tam_width is not None:
+    if tam_width is not None:
         raise ConfigError(
             "tam_width is part of the TamProblem; do not pass it separately"
         )
@@ -381,20 +352,3 @@ def pareto_front(results: Iterable[CoOptResult]) -> List[CoOptResult]:
         if not any(dominates(other, candidate) for other in pool)
     ]
     return sorted(front, key=lambda r: (r.tam_width, r.makespan, r.scheduler))
-
-
-def _legacy_time_volume_tradeoff(
-    specs: Sequence[CoreTestSpec],
-    tam_widths: Sequence[int],
-) -> List[Tuple[int, int, int]]:
-    """The pre-redesign ``time_volume_tradeoff`` — greedy enumeration.
-
-    Exposed through the deprecation shims only; new code calls
-    :func:`design_space` and reads the richer :class:`CoOptResult`.
-    """
-    points = []
-    for width in tam_widths:
-        problem = TamProblem(cores=tuple(specs), tam_width=width)
-        result = _cooptimize_active(problem, "greedy", None)
-        points.append((width, result.makespan, result.delivered_bits))
-    return points

@@ -28,12 +28,12 @@ bad parameters, :class:`~repro.errors.ScheduleError` from
 from __future__ import annotations
 
 import math
-import warnings
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ..errors import ConfigError
 from .types import CoreTestSpec, ParetoPoint, Schedule, ScheduledTest, pareto_widths
-from .wrapper_design import wrapper_bottlenecks
+# Unused here; kept bound because perfbench/layers.py counts calls through it.
+from .wrapper_design import wrapper_bottlenecks  # noqa: F401
 
 __all__ = [
     "Schedule",
@@ -45,18 +45,6 @@ __all__ = [
 ]
 
 
-def _test_time(spec: CoreTestSpec, width: int) -> int:
-    """Shift-dominated test time of ``spec`` at ``width`` wires.
-
-    Duck-typed on the :class:`CoreTestSpec` fields so legacy spec
-    objects (anything with the same five attributes) still schedule.
-    """
-    si, so = wrapper_bottlenecks(
-        spec.scan_chains, spec.input_cells, spec.output_cells, width
-    )
-    return (1 + max(si, so)) * spec.patterns + min(si, so)
-
-
 def schedule_serial(specs: Sequence[CoreTestSpec], tam_width: int) -> Schedule:
     """All cores full-width, back to back (Multiplexing architecture)."""
     if tam_width < 1:
@@ -64,7 +52,7 @@ def schedule_serial(specs: Sequence[CoreTestSpec], tam_width: int) -> Schedule:
     tests = []
     clock = 0
     for spec in specs:
-        duration = _test_time(spec, tam_width)
+        duration = spec.test_time_cycles(tam_width)
         tests.append(ScheduledTest(spec.name, tam_width, clock, clock + duration))
         clock += duration
     return Schedule(tam_width=tam_width, tests=tests)
@@ -87,7 +75,7 @@ def schedule_greedy(
     width = min(preferred_width, tam_width)
     if width < 1:
         raise ConfigError(f"preferred_width must be >= 1, got {preferred_width}")
-    durations = {spec.name: _test_time(spec, width) for spec in specs}
+    durations = {spec.name: spec.test_time_cycles(width) for spec in specs}
     ordered = sorted(specs, key=lambda s: -durations[s.name])
     # Track per-wire next-free time; a test takes the `width` wires that
     # free up earliest and starts when the last of them is free.
@@ -148,23 +136,14 @@ def schedule_best_fit(
 
     candidates: Dict[str, List[ParetoPoint]] = {}
     for spec in specs:
-        points = [
-            ParetoPoint(width=w, test_time_cycles=_test_time(spec, w))
-            for w in range(1, tam_width + 1)
-        ]
-        staircase: List[ParetoPoint] = []
-        best = None
-        for point in points:
-            if best is None or point.test_time_cycles < best:
-                staircase.append(point)
-                best = point.test_time_cycles
+        staircase = pareto_widths(spec, tam_width)
         if allowed is not None:
             kept = [p for p in staircase if p.width in allowed]
             # A restricted width set may skip every staircase width; fall
             # back to the allowed widths themselves (still Pareto-pruned
             # by the best-fit choice below).
             staircase = kept or [
-                ParetoPoint(width=w, test_time_cycles=_test_time(spec, w))
+                ParetoPoint(width=w, test_time_cycles=spec.test_time_cycles(w))
                 for w in sorted(allowed)
             ]
         candidates[spec.name] = staircase
@@ -230,32 +209,3 @@ def makespan_lower_bound(specs: Sequence[CoreTestSpec], tam_width: int) -> int:
         best_times.append(staircase[-1].test_time_cycles)
         min_area += min(point.area for point in staircase)
     return max(max(best_times), math.ceil(min_area / tam_width))
-
-
-_DEPRECATED = {
-    "schedule_summary": "Schedule.as_record()",
-}
-
-
-def schedule_summary(schedule: Schedule) -> Dict[str, float]:
-    return {
-        "makespan": float(schedule.makespan),
-        "utilization": schedule.utilization(),
-        "tests": float(len(schedule.tests)),
-    }
-
-
-_schedule_summary = schedule_summary
-del schedule_summary
-
-
-def __getattr__(name: str) -> Any:
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"repro.tam.scheduling.{name} is deprecated; "
-            f"use {_DEPRECATED[name]} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return globals()[f"_{name}"]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -22,6 +22,7 @@ depend on it without cycles.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from dataclasses import dataclass
 from typing import Any, ClassVar, Dict, List, Sequence, Tuple
 
@@ -60,15 +61,42 @@ class TamResult:
         return f"{self.kind}({parts})"
 
 
+class _WidthTable:
+    """One core's per-width costs, grown on demand and never shrunk.
+
+    ``times[w - 1]`` is the test time at ``w`` wires and
+    ``shift[w - 1]`` the ``si + so`` shift length per pattern there;
+    ``staircase`` holds the Pareto points among the widths filled so
+    far.  A width is Pareto only if it beats every narrower width, so
+    growing the table only ever appends to the staircase.
+    """
+
+    __slots__ = ("times", "shift", "staircase")
+
+    def __init__(self) -> None:
+        self.times = array("q")
+        self.shift = array("q")
+        self.staircase: List[ParetoPoint] = []
+
+
 @dataclass(frozen=True)
 class CoreTestSpec:
-    """What TAM design needs to know about one core's test."""
+    """What TAM design needs to know about one core's test.
+
+    Every width-dependent cost reads one per-core table
+    (:class:`_WidthTable`), filled lazily up to the widest width asked
+    for.  The table is a cache, not part of the value: equality, hashing
+    and ``repr`` ignore it.
+    """
 
     name: str
     scan_chains: Sequence[int]
     input_cells: int
     output_cells: int
     patterns: int
+    _table: _WidthTable = dataclasses.field(
+        init=False, repr=False, compare=False, default_factory=_WidthTable
+    )
 
     @property
     def total_scan(self) -> int:
@@ -87,26 +115,40 @@ class CoreTestSpec:
             self.output_cells, tam_width,
         )
 
+    def _table_to(self, width: int, what: str) -> _WidthTable:
+        """The table, filled through ``width`` wires.
+
+        Each width costs one closed-form bottleneck computation
+        (:func:`repro.tam.wrapper_design.wrapper_bottlenecks`), done
+        once per spec instead of once per query.
+        """
+        if width < 1:
+            raise ConfigError(f"{what} must be >= 1, got {width}")
+        table = self._table
+        for w in range(len(table.times) + 1, width + 1):
+            si, so = wrapper_bottlenecks(
+                self.scan_chains, self.input_cells, self.output_cells, w
+            )
+            time = (1 + max(si, so)) * self.patterns + min(si, so)
+            table.times.append(time)
+            table.shift.append(si + so)
+            stairs = table.staircase
+            if not stairs or time < stairs[-1].test_time_cycles:
+                stairs.append(ParetoPoint(width=w, test_time_cycles=time))
+        return table
+
     def test_time_cycles(self, tam_width: int) -> int:
         """Shift-dominated test time at ``tam_width`` wires.
 
-        Uses the closed-form bottleneck computation
-        (:func:`repro.tam.wrapper_design.wrapper_bottlenecks`) instead
-        of materializing the wrapper — same number, much cheaper, which
-        is what lets the bin-packer enumerate Pareto staircases for
-        every core of every ITC'02 SOC.
+        The same number :meth:`WrapperDesign.test_time_cycles` gives for
+        the materialized wrapper.
         """
-        si, so = wrapper_bottlenecks(
-            self.scan_chains, self.input_cells, self.output_cells, tam_width
-        )
-        return (1 + max(si, so)) * self.patterns + min(si, so)
+        return self._table_to(tam_width, "tam_width").times[tam_width - 1]
 
     def shifted_bits(self, tam_width: int) -> int:
         """Delivered (idle-padded) bits of the whole test at this width."""
-        si, so = wrapper_bottlenecks(
-            self.scan_chains, self.input_cells, self.output_cells, tam_width
-        )
-        return self.patterns * tam_width * (si + so)
+        shift = self._table_to(tam_width, "tam_width").shift[tam_width - 1]
+        return self.patterns * tam_width * shift
 
 
 @dataclass(frozen=True)
@@ -127,18 +169,15 @@ def pareto_widths(spec: CoreTestSpec, max_width: int) -> List[ParetoPoint]:
 
     A width is kept only if it strictly beats every narrower width —
     the staircase effect of unsplittable internal scan chains: once the
-    longest chain is alone on a wire, extra wires stop helping.
+    longest chain is alone on a wire, extra wires stop helping.  The
+    result is the prefix of the spec's cached staircase up to
+    ``max_width``.
     """
-    if max_width < 1:
-        raise ConfigError(f"max_width must be >= 1, got {max_width}")
-    points: List[ParetoPoint] = []
-    best = None
-    for width in range(1, max_width + 1):
-        time = spec.test_time_cycles(width)
-        if best is None or time < best:
-            points.append(ParetoPoint(width=width, test_time_cycles=time))
-            best = time
-    return points
+    stairs = spec._table_to(max_width, "max_width").staircase
+    end = len(stairs)
+    while stairs[end - 1].width > max_width:
+        end -= 1
+    return stairs[:end]
 
 
 def width_saturation(spec: CoreTestSpec, max_width: int = 64) -> int:

@@ -118,13 +118,20 @@ def _spread_cells(chains: List[WrapperChain], cells: int, attr: str, key) -> Non
 
     Wrapper cells are single registers, so unlike internal chains they
     can be distributed freely; one-at-a-time to the current minimum is
-    optimal for the bottleneck length.
+    optimal for the bottleneck length.  A heap keyed ``(length, index)``
+    finds the chain ``min(chains, key=key)`` would, ties included.
     """
     if cells < 0:
         raise ConfigError("cell counts must be >= 0")
+    heap = [(key(chain), index) for index, chain in enumerate(chains)]
+    heapq.heapify(heap)
+    added = [0] * len(chains)
     for _ in range(cells):
-        shortest = min(chains, key=key)
-        setattr(shortest, attr, getattr(shortest, attr) + 1)
+        length, index = heap[0]
+        added[index] += 1
+        heapq.heapreplace(heap, (length + 1, index))
+    for chain, extra in zip(chains, added):
+        setattr(chain, attr, getattr(chain, attr) + extra)
 
 
 def balanced_chain_lengths(total_cells: int, chain_count: int) -> List[int]:

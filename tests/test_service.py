@@ -209,6 +209,39 @@ def live_server():
         thread.join(timeout=10)
 
 
+class TestInProcessShutdown:
+    def test_shutdown_from_another_thread_is_prompt(self, tmp_path):
+        """shutdown() from a foreign thread wakes the loop at once and
+        the server writes its manifest on the way out."""
+        server = JobServer(
+            ServiceConfig(port=0, no_cache=True, journal_dir=str(tmp_path))
+        )
+        thread = threading.Thread(target=server.run, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while server.port is None:
+            assert time.monotonic() < deadline, "server did not bind"
+            time.sleep(0.01)
+        started = time.monotonic()
+        server.shutdown()
+        thread.join(timeout=10)
+        elapsed = time.monotonic() - started
+        assert not thread.is_alive()
+        assert elapsed < 1.0, f"shutdown took {elapsed:.2f}s"
+        manifest = json.loads((tmp_path / "service-manifest.json").read_text())
+        assert manifest == {"schema": 1, "jobs": []}
+
+    def test_shutdown_before_serving_stops_at_once(self):
+        server = JobServer(ServiceConfig(port=0, no_cache=True))
+        server.shutdown()
+        thread = threading.Thread(target=server.run, daemon=True)
+        started = time.monotonic()
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0
+
+
 class TestServerRoundTrip:
     def test_submit_poll_result(self, live_server):
         client = live_server()

@@ -3,7 +3,7 @@
 Covers the redesigned API (TamProblem / cooptimize / CoOptResult /
 design_space / pareto_front), the best-fit rectangle packer and its
 differential guarantees against the greedy baseline, the closed-form
-wrapper fast path, the typed scheduling errors, the deprecation shims,
+wrapper fast path, the typed scheduling errors, the retired shims,
 and the ``tam`` experiment's byte-identity across serial, parallel and
 killed-and-resumed runs.
 """
@@ -19,7 +19,6 @@ import pytest
 from repro.errors import ConfigError, ReproError, ScheduleError
 from repro.itc02 import load_many
 from repro.tam import (
-    CoOptResult,
     CoreTestSpec,
     Schedule,
     ScheduledTest,
@@ -275,52 +274,37 @@ class TestCooptimizeApi:
                 assert not dominated
 
 
-class TestDeprecationShims:
-    def test_legacy_cooptimize_warns_and_matches_greedy(self, specs):
-        with pytest.deprecated_call():
-            legacy = cooptimize(specs, tam_width=12)
-        modern = cooptimize(
-            TamProblem(cores=specs, tam_width=12), scheduler="greedy"
-        )
-        assert legacy.makespan == modern.makespan
-        assert legacy.assigned_widths == modern.assigned_widths
-        assert legacy.delivered_bits == modern.delivered_bits
+class TestRetiredShims:
+    """The pre-redesign entry points are removed, not deprecated."""
 
-    def test_legacy_result_name_importable(self):
-        with pytest.deprecated_call():
-            from repro.tam import CoOptimizationResult
-        assert CoOptimizationResult is CoOptResult
+    def test_legacy_cooptimize_is_gone(self, specs):
+        with pytest.raises(ConfigError, match="needs a TamProblem"):
+            cooptimize(specs, tam_width=12)
 
-    def test_legacy_tradeoff_matches_design_space(self, specs):
-        with pytest.deprecated_call():
-            from repro.tam import time_volume_tradeoff
-        points = time_volume_tradeoff(specs, tam_widths=[2, 4, 8])
-        problem = TamProblem(cores=specs, tam_width=8)
-        results = design_space(
-            problem, tam_widths=[2, 4, 8], schedulers=("greedy",)
-        )
-        assert points == [
-            (r.tam_width, r.makespan, r.delivered_bits) for r in results
-        ]
+    def test_legacy_result_name_is_gone(self):
+        import repro.tam
 
-    def test_legacy_schedule_summary_warns(self, specs):
-        with pytest.deprecated_call():
-            from repro.tam import schedule_summary
-        schedule = schedule_best_fit(specs, tam_width=4)
-        summary = schedule_summary(schedule)
-        assert summary["tests"] == float(len(schedule.tests))
+        assert not hasattr(repro.tam, "CoOptimizationResult")
+        with pytest.raises(ImportError):
+            from repro.tam import CoOptimizationResult  # noqa: F401
 
-    def test_legacy_module_import_stays_clean(self):
-        """Importing the shim module itself must not warn — only
-        touching a deprecated name does."""
-        import importlib
-        import warnings as warnings_module
+    def test_legacy_tradeoff_is_gone(self):
+        import repro.tam
+        from repro.tam import problem
 
-        import repro.tam.cooptimization as shim
+        assert not hasattr(repro.tam, "time_volume_tradeoff")
+        assert not hasattr(problem, "_legacy_time_volume_tradeoff")
 
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            importlib.reload(shim)
+    def test_legacy_schedule_summary_is_gone(self):
+        import repro.tam
+        from repro.tam import scheduling
+
+        assert not hasattr(repro.tam, "schedule_summary")
+        assert not hasattr(scheduling, "schedule_summary")
+
+    def test_legacy_module_is_gone(self):
+        with pytest.raises(ModuleNotFoundError):
+            import repro.tam.cooptimization  # noqa: F401
 
 
 class TestTamExperiment:

@@ -75,6 +75,36 @@ class TestDesignWrapper:
         ]
         assert times == sorted(times, reverse=True)
 
+    def test_cells_land_where_one_at_a_time_min_puts_them(self):
+        """Cell spreading matches a cell-by-cell ``min()`` over the
+        chains, ties going to the lowest index, chain by chain."""
+
+        def naive(chains, inputs, outputs, width):
+            lengths = [0] * width
+            for length in sorted(chains, reverse=True):
+                lengths[min(range(width), key=lengths.__getitem__)] += length
+            ins, outs = [0] * width, [0] * width
+            for _ in range(inputs):
+                ins[min(range(width), key=lambda i: ins[i] + lengths[i])] += 1
+            for _ in range(outputs):
+                outs[min(range(width), key=lambda i: lengths[i] + outs[i])] += 1
+            return ins, outs
+
+        shapes = [
+            ([30, 20, 10, 5], 12, 8),
+            ([8, 8, 8, 8], 7, 9),
+            ([100, 3, 3], 40, 1),
+            ([], 25, 5),
+            ([5, 5, 5, 5, 5, 5], 0, 13),
+        ]
+        for chains, inputs, outputs in shapes:
+            for width in range(1, 10):
+                design = design_wrapper("c", chains, inputs, outputs, width)
+                assert (
+                    [chain.input_cells for chain in design.chains],
+                    [chain.output_cells for chain in design.chains],
+                ) == naive(chains, inputs, outputs, width), (chains, width)
+
 
 class TestBalancedChains:
     def test_partition_sums(self):
