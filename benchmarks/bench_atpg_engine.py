@@ -6,8 +6,8 @@ where the table benches would only show mysterious pattern-count
 drifts.  Each run also reports kernel throughput (patterns per second
 and faults simulated per second) plus a per-phase wall-time breakdown
 (random / PODEM / verify seconds, from the engine's tracer spans) and
-appends a machine-readable record to ``BENCH_atpg.json`` for CI to
-publish and gate.
+appends a machine-readable record to ``BENCH_atpg_current.json`` for
+CI to publish and gate against the committed ``BENCH_atpg.json``.
 
 Two timing protocols, named by each record's ``throughput_basis``:
 
@@ -15,13 +15,11 @@ Two timing protocols, named by each record's ``throughput_basis``:
   call including circuit compilation and fault collapsing, as a fresh
   caller would pay it.
 * ``warm_generate`` (the stream-2 entries) — the circuit is compiled,
-  the kernel backend prepared and the fault list collapsed *outside*
-  the timed region.  That is the cost population-scale sweeps actually
+  the fault list collapsed and one untimed run made *outside* the
+  timed region.  That is the cost population-scale sweeps actually
   pay per run (they reuse compiled circuits), and it is the basis the
   stream-2 throughput targets are stated against.
 """
-
-import os
 
 import pytest
 
@@ -122,10 +120,10 @@ def test_bench_atpg_stream2(benchmark, label, gates, inputs, outputs, ffs):
     """The counter-based epoch, timed on the warm-generate basis."""
     netlist = _scale_netlist(label, gates, inputs, outputs, ffs)
     circuit = CompiledCircuit(netlist)
-    circuit.backend.prepare(circuit)
     faults = collapse_faults(circuit)
     # One untimed run warms the per-circuit memoizations (PODEM
-    # tables, FFR views) the warm-generate basis is defined to exclude.
+    # tables, FFR views, the numpy backend's array plan) the
+    # warm-generate basis is defined to exclude.
     generate_tests(netlist, 19, stream=2, circuit=circuit, faults=faults)
     result, seconds, stats, phases = run_timed(
         benchmark, generate_tests, netlist, 19,
@@ -142,37 +140,6 @@ def test_bench_atpg_stream2(benchmark, label, gates, inputs, outputs, ffs):
     # stream 1 on every committed bench circuit.
     stream1 = generate_tests(netlist, 19, circuit=circuit, faults=faults)
     assert result.fault_coverage >= stream1.fault_coverage
-
-
-def test_bench_atpg_stream2_fault_parallel(benchmark):
-    """Fault-parallel stream-2 generation: byte-identical to serial.
-
-    The wall-clock numbers are recorded honestly for whatever machine
-    runs the bench (the ``cpus`` field says how many cores that was —
-    on a single-core host the worker pool is pure overhead and the
-    entry documents exactly that); the *assertion* is the one property
-    that must hold everywhere: workers=4 produces bit-for-bit the
-    pattern set of the serial run.
-    """
-    label, gates, inputs, outputs, ffs = SIZES[-1]
-    netlist = _scale_netlist(label, gates, inputs, outputs, ffs)
-    circuit = CompiledCircuit(netlist)
-    circuit.backend.prepare(circuit)
-    faults = collapse_faults(circuit)
-    serial = generate_tests(netlist, 19, stream=2, circuit=circuit, faults=faults)
-    result, seconds, stats, phases = run_timed(
-        benchmark, generate_tests, netlist, 19,
-        stream=2, workers=4, circuit=circuit, faults=faults,
-    )
-    entry = _entry(netlist, result, seconds, stats, phases, "warm_generate")
-    entry["stream"] = 2
-    entry["workers"] = 4
-    entry["cpus"] = os.cpu_count()
-    _report(f"{label}_stream2_w4", netlist, result, seconds, entry)
-    record_bench(f"{label}_stream2_w4", entry)
-    assert [p.assignments for p in result.test_set.patterns] == \
-        [p.assignments for p in serial.test_set.patterns]
-    assert result.detected_count == serial.detected_count
 
 
 def test_bench_monolithic_soc1_atpg(benchmark):

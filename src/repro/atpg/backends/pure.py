@@ -18,7 +18,7 @@ class PureBackend:
     Stateless and shared process-wide (``resolve_backend`` hands out a
     singleton); instances pickle by class reference, so a
     :class:`~repro.atpg.compiled.CompiledCircuit` carrying one ships to
-    :class:`~repro.atpg.faultsim.FaultShardPool` workers unchanged.
+    job-level worker processes unchanged.
     """
 
     name = "pure"
@@ -26,9 +26,6 @@ class PureBackend:
     def lanes_for(self, circuit) -> int:
         """Pattern-block width in 64-bit words: always one."""
         return 1
-
-    def prepare(self, circuit) -> None:
-        """No derived tables to build ahead of time."""
 
     def ffr_detect_masks(
         self,

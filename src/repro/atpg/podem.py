@@ -437,8 +437,8 @@ class Podem:
         # Implication table: (output id, input ids, kind, table, invert)
         # specialized per gate from the circuit's flat opcode table.  The
         # tables depend only on the circuit, so they are memoized on it —
-        # constructing a fresh engine per work item (the stream-2 shard
-        # scheduler does) costs no more than reusing one.
+        # constructing a fresh engine per work item (every stream-2 shard
+        # task does) costs no more than reusing one.
         tables = getattr(circuit, "_podem_tables", None)
         if tables is None:
             table5: List[Tuple[int, Tuple[int, ...], int, object, bool]] = []

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..observability import get_tracer, register_counter
 from ..runtime.abort import get_abort
 from .compiled import CompiledCircuit
 from .faults import Fault
-from .faultsim import FaultShardPool, FaultSimulator
+from .faultsim import FaultSimulator
 from .patterns import TestPattern, pattern_from_rails, random_pattern_rails
 from .streams import stream_rails
 
@@ -48,7 +48,6 @@ def run_random_phase(
     max_batches: int = 32,
     min_yield: int = 1,
     stream: int = 1,
-    pool: Optional[FaultShardPool] = None,
 ) -> RandomPhaseResult:
     """Generate random patterns until they stop paying for themselves.
 
@@ -58,16 +57,12 @@ def run_random_phase(
 
     ``stream`` selects the pattern-stream epoch
     (:mod:`repro.atpg.streams`): 1 draws the legacy sequential Mersenne
-    stream, 2 the counter-based order-independent stream.  ``pool`` (a
-    :class:`~repro.atpg.faultsim.FaultShardPool` over exactly
-    ``faults``) optionally shards wide detect-mask sweeps along the
-    pattern axis — a pure execution detail, bit-identical to serial.
+    stream, 2 the counter-based order-independent stream.
     """
     tracer = get_tracer()
     with tracer.span("random_phase"):
         result = _run_batches(
-            circuit, faults, seed, batch_size, max_batches, min_yield,
-            stream, pool,
+            circuit, faults, seed, batch_size, max_batches, min_yield, stream
         )
         if tracer.enabled:
             tracer.count(RANDOM_BATCHES, result.batches)
@@ -84,7 +79,6 @@ def _run_batches(
     max_batches: int,
     min_yield: int,
     stream: int = 1,
-    pool: Optional[FaultShardPool] = None,
 ) -> RandomPhaseResult:
     simulator = FaultSimulator(circuit)
     if stream == 2 and batch_size % 64:
@@ -129,12 +123,7 @@ def _run_batches(
                 input_ids, rng, count, circuit.net_count
             )
         good, count = simulator.good_values_rails(ones, zeros, count)
-        if pool is not None and count >= 128:
-            masks = pool.detect_masks_patterns(
-                good, count, result.remaining_faults
-            )
-        else:
-            masks = simulator.detect_masks(good, count, result.remaining_faults)
+        masks = simulator.detect_masks(good, count, result.remaining_faults)
         pairs = list(zip(result.remaining_faults, masks))
         stop = False
         for chunk in range(chunk_count):

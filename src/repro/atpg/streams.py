@@ -11,10 +11,9 @@ the ``i * inputs`` draws before it.
 Stream **2** is a *counter-based* generator: every bit is a pure
 function of ``(seed, pattern_index, input_position)`` through a
 splitmix64-style mixer, so any pattern — or any 64-pattern block of
-rails — can be produced independently, in any order, on any worker,
-with bulk array ops.  That order-freedom is what lets the engine draw
-whole wide blocks as numpy array math and fault-shard the deterministic
-phase without perturbing a single bit.
+rails — can be produced independently, in any order, with bulk array
+ops.  That order-freedom is what lets the engine draw whole wide blocks
+as numpy array math without perturbing a single bit.
 
 Two key-domain constants keep the draw and X-fill streams disjoint:
 
@@ -152,7 +151,7 @@ def stream_rails(
     ``count`` must be multiples of 64 so the window tiles whole stream
     words; any 64-aligned windowing of the pattern axis yields the same
     bits for the same pattern index — the order-independence the
-    fault-parallel engine relies on.
+    lane-wide random phase relies on.
     """
     if start % 64 or count % 64:
         raise ValueError(

@@ -12,9 +12,7 @@ Every entry point of the reproduction is a subcommand here::
     repro submit <design.bench>       submit a job to a running server
     repro bench                       load-test a server (multi-tenant)
 
-(``repro atpg`` remains as an alias of ``repro run``; the old
-``repro-experiments`` console script forwards to ``repro experiments``
-with a DeprecationWarning.)
+(``repro atpg`` remains as an alias of ``repro run``.)
 
 The ATPG-running subcommands (``run``, ``vectors``, ``experiments``)
 share the :mod:`repro.runtime` execution flags — ``--workers`` for

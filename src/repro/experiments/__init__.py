@@ -1,4 +1,4 @@
-"""One module per paper table/figure, plus the CLI runner.
+"""One module per paper table/figure, plus the experiment runner.
 
 Each experiment module self-registers its entry point with the
 decorator in :mod:`repro.experiments.registry`; the runner derives its
@@ -13,7 +13,7 @@ from .figures import generate_figures
 from .iscas_socs import IscasSocExperiment, run_soc1, run_soc2
 from .itc02_tables import table3, table4
 from .registry import ExperimentEntry, experiment
-from .runner import main, run_experiment, run_experiments
+from .runner import run_experiment, run_experiments
 
 __all__ = [
     "ExperimentEntry",
@@ -27,7 +27,6 @@ __all__ = [
     "generate_figures",
     "granularity_ablation",
     "idle_bit_ablation",
-    "main",
     "run_experiment",
     "run_experiments",
     "run_soc1",

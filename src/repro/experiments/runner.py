@@ -38,17 +38,13 @@ have no stochastic component and ignore it by construction.
 
 The flag plumbing itself (``add_runtime_arguments`` & co.) lives in
 the shared registry :mod:`repro.flags`; the historical names are
-re-exported here so pre-consolidation imports keep working.  The old
-``repro-experiments`` console script forwards to ``repro experiments``
-with a :class:`DeprecationWarning`.
+re-exported here so pre-consolidation imports keep working.
 """
 
 from __future__ import annotations
 
 import inspect
-import sys
-import warnings
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from ..flags import (  # noqa: F401 — re-exported for back-compat
     add_experiment_arguments,
@@ -142,25 +138,3 @@ def run_experiments(
         run_experiment(name, seed=seed, runtime=runtime, options=options)
         print()
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    """Deprecated entry point: ``repro-experiments`` became
-    ``repro experiments``.
-
-    The shim forwards verbatim to the unified CLI (identical flags,
-    identical behavior) and will be removed after one release.
-    """
-    warnings.warn(
-        "the repro-experiments entry point is deprecated; "
-        "use `repro experiments <name> ...` instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from ..cli import main as cli_main
-
-    arguments = list(argv) if argv is not None else sys.argv[1:]
-    return cli_main(["experiments"] + arguments)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -4,11 +4,9 @@ Every backend must be bit-identical to ``pure``: detect masks, pattern
 counts, coverage, cache fingerprints.  These tests enforce that with
 randomized circuits over every opcode, packed widths 1/2/8 lanes,
 partial and full batches, both the FFR fast path and the event-driven
-fallback, plus the degradation contracts (NumPy absent, shared-memory
-attach failure).
+fallback, plus the degradation contract (NumPy absent).
 """
 
-import os
 import random
 
 import pytest
@@ -24,7 +22,6 @@ from repro.atpg.compiled import CompiledCircuit
 from repro.atpg.engine import generate_n_detect_tests, generate_tests
 from repro.atpg.faults import Fault, collapse_faults, full_fault_universe
 from repro.atpg.faultsim import (
-    FaultShardPool,
     FaultSimulator,
     SIM_STATS,
     reset_sim_stats,
@@ -288,66 +285,6 @@ def test_n_detect_backend_equality():
     assert [p.assignments for p in fast.test_set.patterns] == \
         [p.assignments for p in reference.test_set.patterns]
     assert fast.fault_coverage == reference.fault_coverage
-
-
-# -- shared-memory shard transfer ----------------------------------------
-
-
-_SHARD_CACHE = {}
-
-
-def _shard_fixture():
-    if _SHARD_CACHE:
-        return _SHARD_CACHE["value"]
-    netlist = _circuit(9, gates=600, inputs=24)
-    circuit = CompiledCircuit(netlist, backend="pure")
-    faults = collapse_faults(circuit)
-    simulator = FaultSimulator(circuit)
-    result = generate_tests(netlist, 9)
-    filled = [p.assignments for p in result.test_set.patterns[:64]]
-    ones, zeros = pack_full_patterns_flat(circuit, filled)
-    good, count = simulator.good_values_rails(ones, zeros, len(filled))
-    serial = simulator.detect_masks(good, count, faults)
-    _SHARD_CACHE["value"] = (circuit, faults, simulator, good, count, serial)
-    return _SHARD_CACHE["value"]
-
-
-def test_shard_pool_shared_memory_round_trip():
-    circuit, faults, simulator, good, count, serial = _shard_fixture()
-    reset_sim_stats()
-    with FaultShardPool(circuit, faults, 2, simulator) as pool:
-        if pool._pool is None:
-            pytest.skip("process pool unavailable in this environment")
-        assert pool._shm is not None
-        assert pool.detect_masks(good, count, faults) == serial
-        assert pool.detect_masks(good, count, faults) == serial
-    assert SIM_STATS["shard_bytes_shared"] > 0
-    assert SIM_STATS["shard_bytes_pickled"] == 0
-
-
-def test_shard_pool_degrades_to_pickle_on_attach_failure():
-    """Chaos: the segment vanishes before the workers attach."""
-    circuit, faults, simulator, good, count, serial = _shard_fixture()
-    reset_sim_stats()
-    with FaultShardPool(circuit, faults, 2, simulator) as pool:
-        if pool._pool is None or pool._shm is None:
-            pytest.skip("process pool or shm unavailable")
-        pool._shm.unlink()  # workers can no longer attach by name
-        assert pool.detect_masks(good, count, faults) == serial
-        assert pool._shm is None, "shm channel must be retired"
-        assert pool.detect_masks(good, count, faults) == serial
-    assert SIM_STATS["shard_bytes_shared"] == 0
-    assert SIM_STATS["shard_bytes_pickled"] > 0
-
-
-def test_shard_pool_respects_no_shm_env(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_SHM", "1")
-    circuit, faults, simulator, good, count, serial = _shard_fixture()
-    with FaultShardPool(circuit, faults, 2, simulator) as pool:
-        if pool._pool is None:
-            pytest.skip("process pool unavailable in this environment")
-        assert pool._shm is None
-        assert pool.detect_masks(good, count, faults) == serial
 
 
 # -- observability --------------------------------------------------------

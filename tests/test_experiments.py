@@ -128,8 +128,8 @@ class TestRunner:
             run_experiment("nope")
 
     def test_cli_main_runs_cheap_experiment(self, capsys):
-        from repro.experiments.runner import main
+        from repro.cli import main
 
-        assert main(["cone-example"]) == 0
+        assert main(["experiments", "cone-example"]) == 0
         out = capsys.readouterr().out
         assert "20,000" in out and "15,000" in out

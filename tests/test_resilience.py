@@ -438,10 +438,10 @@ class TestRuntimeFlags:
 
 class TestCliResume:
     def test_experiments_resume_is_byte_identical(self, tmp_path, capsys):
-        from repro.experiments.runner import main
+        from repro.cli import main
 
         run_dir = str(tmp_path / "run")
-        base = ["cone-example", "--no-cache", "--run-dir", run_dir]
+        base = ["experiments", "cone-example", "--no-cache", "--run-dir", run_dir]
         assert main(base) == 0
         first_out = capsys.readouterr().out
         manifest_bytes = (tmp_path / "run" / "manifest.json").read_bytes()
@@ -454,10 +454,11 @@ class TestCliResume:
         assert "0 executed" in captured.err
 
     def test_experiments_rejects_dirty_run_dir(self, tmp_path, capsys):
-        from repro.experiments.runner import main
+        from repro.cli import main
 
         run_dir = str(tmp_path / "run")
-        assert main(["cone-example", "--no-cache", "--run-dir", run_dir]) == 0
+        argv = ["experiments", "cone-example", "--no-cache", "--run-dir", run_dir]
+        assert main(argv) == 0
         capsys.readouterr()
         with pytest.raises(ConfigError):
-            main(["cone-example", "--no-cache", "--run-dir", run_dir])
+            main(argv)

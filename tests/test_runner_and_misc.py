@@ -3,7 +3,8 @@
 import pytest
 
 from repro.experiments.iscas_socs import paper_reference
-from repro.experiments.runner import EXPERIMENTS, main as runner_main
+from repro.cli import main as cli_main
+from repro.experiments.runner import EXPERIMENTS
 
 
 class TestRunnerCli:
@@ -14,12 +15,12 @@ class TestRunnerCli:
         }
 
     def test_runner_main_single(self, capsys):
-        assert runner_main(["cone-example"]) == 0
+        assert cli_main(["experiments", "cone-example"]) == 0
         assert "25.0%" in capsys.readouterr().out
 
     def test_runner_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            runner_main(["not-an-experiment"])
+            cli_main(["experiments", "not-an-experiment"])
 
     def test_paper_reference_tables(self):
         table1 = paper_reference(1)

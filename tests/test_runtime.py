@@ -1,5 +1,6 @@
 """Tests for the repro.runtime layer: config, cache, executor, CLI plumbing."""
 
+import concurrent.futures
 import json
 
 import pytest
@@ -207,6 +208,24 @@ class TestExecutor:
         for a, b in zip(cold, warm):
             assert_same_result(a, b)
 
+    def test_single_job_run_starts_no_process_pool(self, netlist, monkeypatch):
+        # Parallelism lives only in job-level fan-out: a lone job runs
+        # inline whatever the worker budget, and the engine has no
+        # worker knob of its own to hand that budget to.
+        job = AtpgJob(name="solo", netlist=netlist, config=AtpgConfig(seed=3))
+        (serial,), _ = run_jobs([job], workers=1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a single-job run started a process pool")
+
+        monkeypatch.setattr(
+            concurrent.futures.ProcessPoolExecutor, "__init__", refuse
+        )
+        (parallel,), _ = run_jobs([job], workers=2)
+        assert_same_result(serial, parallel)
+        with pytest.raises(TypeError):
+            generate_tests(netlist, workers=2)
+
     def test_rejects_bad_worker_count(self, netlist):
         with pytest.raises(ValueError):
             run_jobs([AtpgJob(name="x", netlist=netlist)], workers=0)
@@ -278,12 +297,12 @@ class TestCliPlumbing:
 
     def test_runner_seed_threads_into_synthetic_sweep(self, tmp_path, capsys):
         """--seed reaches experiments that used to drop it (correlation)."""
-        from repro.experiments.runner import main as runner_main
+        from repro.cli import main
 
-        base = ["correlation", "--no-cache"]
-        assert runner_main(base) == 0
+        base = ["experiments", "correlation", "--no-cache"]
+        assert main(base) == 0
         default_out = capsys.readouterr().out
-        assert runner_main(base + ["--seed", "99"]) == 0
+        assert main(base + ["--seed", "99"]) == 0
         seeded_out = capsys.readouterr().out
         # The benchmark half (published data) is identical; the seeded
         # synthetic sweep differs.
@@ -292,14 +311,14 @@ class TestCliPlumbing:
             seeded_out.split("synthetic sweep")[0]
 
     def test_runner_manifest_on_stderr(self, tmp_path, capsys):
-        from repro.experiments.runner import main as runner_main
+        from repro.cli import main
 
         cache_dir = str(tmp_path / "cache")
-        argv = ["cone-example", "--cache-dir", cache_dir]
-        assert runner_main(argv) == 0
+        argv = ["experiments", "cone-example", "--cache-dir", cache_dir]
+        assert main(argv) == 0
         cold = capsys.readouterr()
         assert "[runtime]" in cold.err and "0 cache hits" in cold.err
-        assert runner_main(argv) == 0
+        assert main(argv) == 0
         warm = capsys.readouterr()
         assert warm.out == cold.out
         assert "(100%)" in warm.err

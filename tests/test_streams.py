@@ -1,21 +1,22 @@
 """The stream-2 counter-based pattern-stream epoch.
 
-Three families of guarantees, all load-bearing for the fault-parallel
-engine:
+Three families of guarantees:
 
 * **Purity** — every stream-2 bit is a pure function of ``(seed,
   pattern_index, input_position)``: invariant under window chunking,
-  draw order, kernel backend and worker count.
+  draw order and kernel backend.
 * **Epoch isolation** — stream 1 is byte-frozen: adding the epoch knob
   changed nothing about default runs, their serialized configs or
   their fingerprints; stream-2 fingerprints can never collide with
   them.
-* **Engine equivalence** — stream-2 results are bit-identical across
-  serial, fault-parallel, killed-and-resumed, and pure/numpy runs, and
+* **Engine equivalence** — stream-2 results are pinned by digest, are
+  bit-identical across killed-and-resumed and pure/numpy runs, and
   never trade coverage away against stream 1.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -67,6 +68,22 @@ def result_signature(result):
     )
 
 
+def signature_digest(result):
+    return hashlib.sha256(repr(result_signature(result)).encode()).hexdigest()
+
+
+#: sha256 of ``repr(result_signature(...))`` for
+#: ``generate_tests(small_scale_netlist(), 19, stream=..., dynamic_compaction=...)``,
+#: keyed by ``(stream, dynamic_compaction)``.  Any change to the PODEM
+#: queue loop or the stream-2 round schedule that moves a single bit
+#: shows up here.
+PINNED_DIGESTS = {
+    (2, 0): "717f911179c428290465f1dcf7fa97eaf4e9936539128c1cda793116bf6bc1ab",
+    (2, 4): "f831f93d985c1355a66641f640dd286faf14a9a1e99b9f2a50fb69566f2aaea8",
+    (1, 4): "f96816fe27d091343a89e0d6ad553552e09d6fc7dd625d2634c1dad1f13eb95e",
+}
+
+
 class TestStreamWords:
     def test_word_is_pure_and_stable(self):
         # Same coordinates, any call order -> same word; and the first
@@ -90,8 +107,8 @@ class TestStreamWords:
 
     def test_rails_window_partition_invariance(self):
         # Drawing one 256-pattern window equals drawing its 64-pattern
-        # quarters independently — the property fault-parallel draws
-        # rely on.
+        # quarters independently — the property lane-wide random
+        # blocks rely on.
         input_ids = [2, 3, 5]
         whole_ones, whole_zeros = stream_rails(
             input_ids, seed=5, start=0, count=256, net_count=8
@@ -186,11 +203,15 @@ class TestEngineStream2:
         default = generate_tests(netlist, 19)
         assert result_signature(explicit) == result_signature(default)
 
-    def test_serial_and_fault_parallel_are_bit_identical(self):
-        netlist = small_scale_netlist()
-        serial = generate_tests(netlist, 19, stream=2)
-        parallel = generate_tests(netlist, 19, stream=2, workers=3)
-        assert result_signature(serial) == result_signature(parallel)
+    @pytest.mark.parametrize("stream,dynamic_compaction", sorted(PINNED_DIGESTS))
+    def test_result_digest_is_pinned(self, stream, dynamic_compaction):
+        result = generate_tests(
+            small_scale_netlist(), 19, stream=stream,
+            dynamic_compaction=dynamic_compaction,
+        )
+        assert signature_digest(result) == PINNED_DIGESTS[
+            (stream, dynamic_compaction)
+        ]
 
     @pytest.mark.skipif(not numpy_available(), reason="numpy masked")
     def test_backends_are_bit_identical(self):

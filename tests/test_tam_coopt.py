@@ -316,7 +316,7 @@ class TestTamExperiment:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "tam",
+            [sys.executable, "-m", "repro", "experiments", "tam",
              *self.ARGS, *extra],
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
         )
@@ -358,7 +358,7 @@ class TestTamExperiment:
         env = dict(os.environ)
         env["PYTHONPATH"] = str(REPO_ROOT / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "tam",
+            [sys.executable, "-m", "repro", "experiments", "tam",
              "--tam-socs", "nope"],
             env=env, cwd=tmp_path, capture_output=True, text=True, timeout=60,
         )
