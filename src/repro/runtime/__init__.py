@@ -12,6 +12,9 @@ The architectural seam between "what to run" (netlists + configs) and
     :class:`AtpgJob` / :func:`run_jobs` — process-parallel fan-out with
     deterministic result order, retry-round failure recovery, and a
     per-job :class:`RunManifest` of typed :class:`JobOutcome` records.
+``repro.runtime.units`` / ``repro.runtime.records``
+    :func:`run_units`, the one pool/retry loop (ATPG jobs and sweep
+    shards); the one atomic JSON writer and quarantining reader.
 ``repro.runtime.policy``
     :class:`ExecutionPolicy` — deadlines, backtrack budgets, retry and
     backoff knobs; execution policy, never run identity.

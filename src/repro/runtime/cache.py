@@ -12,22 +12,19 @@ Two tiers: an in-memory LRU (term of this process) and JSON files on
 disk (via the :mod:`repro.core.serialization` converters), one file per
 key, so warm reruns of an experiment skip ATPG entirely.  The directory
 defaults to ``~/.cache/repro/atpg`` and can be overridden with the
-``REPRO_CACHE_DIR`` environment variable or per instance.  Corrupt or
-truncated files — including files whose recorded key disagrees with
-their filename — are treated as misses: the offending file is moved
-aside into a ``quarantine/`` subdirectory (for post-mortems) and the
-result is recomputed, so one bad byte never aborts a campaign.
+``REPRO_CACHE_DIR`` environment variable or per instance.  Corrupt,
+truncated or mis-keyed files are misses: :mod:`repro.runtime.records`
+quarantines them and the result is recomputed.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Any, Callable, Dict, Optional, Union
 
 from ..atpg.engine import AtpgResult
 from ..circuit.netlist import Netlist
@@ -40,6 +37,7 @@ from ..errors import CacheCorruptionError, ConfigError
 from ..observability import get_tracer, register_counter
 from .chaos import maybe_corrupt_store
 from .config import AtpgConfig
+from .records import read_record, write_record
 
 CACHE_ENV_VAR = "REPRO_CACHE_DIR"
 
@@ -49,30 +47,6 @@ CACHE_STORES = register_counter("cache.stores", "ATPG results written to disk")
 CACHE_QUARANTINED = register_counter(
     "cache.quarantined", "corrupt cache entries moved to quarantine"
 )
-
-QUARANTINE_DIR = "quarantine"
-
-
-def quarantine_file(path: Path) -> Optional[Path]:
-    """Move a corrupt store file into a sibling ``quarantine/`` directory.
-
-    Keeps the evidence for post-mortems while freeing the key for a
-    clean recompute.  Falls back to deletion (and then to ignoring the
-    file) when the filesystem refuses the move; returns the quarantined
-    path, or None when the file is simply gone.
-    """
-    target_dir = path.parent / QUARANTINE_DIR
-    try:
-        target_dir.mkdir(parents=True, exist_ok=True)
-        target = target_dir / path.name
-        path.replace(target)
-        return target
-    except OSError:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
 
 
 def default_cache_dir() -> Path:
@@ -114,6 +88,20 @@ def result_key(netlist: Netlist, config: AtpgConfig) -> str:
     hasher.update(netlist_fingerprint(netlist).encode("ascii"))
     hasher.update(config.fingerprint().encode("ascii"))
     return hasher.hexdigest()
+
+
+def keyed_result(key: str) -> Callable[[Dict[str, Any]], AtpgResult]:
+    """The :func:`~repro.runtime.records.read_record` parser of a file
+    that must hold ``key``'s result (cache entry or journal entry)."""
+
+    def parse(payload: Dict[str, Any]) -> AtpgResult:
+        if payload.get("key") != key:
+            raise CacheCorruptionError(
+                f"entry claims key {payload.get('key')!r}, expected {key!r}"
+            )
+        return atpg_result_from_dict(payload["result"])
+
+    return parse
 
 
 @dataclass
@@ -188,9 +176,7 @@ class AtpgResultCache:
                 "result": atpg_result_to_dict(result),
             }
             path = self._path(key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(payload, sort_keys=True))
-            tmp.replace(path)  # atomic: a reader never sees a half-written file
+            write_record(path, payload)
             self.stats.stores += 1
             get_tracer().count(CACHE_STORES)
             maybe_corrupt_store(path)  # chaos hook; no-op unless injected
@@ -224,22 +210,9 @@ class AtpgResultCache:
     def _read_disk(self, key: str) -> Optional[AtpgResult]:
         if self.directory is None:
             return None
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("key") != key:
-                raise CacheCorruptionError(
-                    f"cache entry {path.name} claims key "
-                    f"{payload.get('key')!r}, expected {key!r}"
-                )
-            return atpg_result_from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError, OSError):
-            # Corrupt/truncated/mis-keyed entry: quarantine it and report
-            # a miss so the result is recomputed — never abort the run.
-            self.stats.corrupt += 1
-            self.stats.quarantined += 1
-            get_tracer().count(CACHE_QUARANTINED)
-            quarantine_file(path)
-            return None
+        return read_record(self._path(key), keyed_result(key), self._quarantined)
+
+    def _quarantined(self) -> None:
+        self.stats.corrupt += 1
+        self.stats.quarantined += 1
+        get_tracer().count(CACHE_QUARANTINED)

@@ -2,17 +2,14 @@
 
 Per-core ATPG is embarrassingly parallel — the modularity argument of
 the paper, applied to its own reproduction.  :func:`run_jobs` fans a
-list of :class:`AtpgJob` values across worker processes with
-``concurrent.futures``, consults the result cache (and, on resume, the
+list of :class:`AtpgJob` values across worker processes through
+:func:`~repro.runtime.units.run_units` (the one pool/retry loop, shared
+with the sweep engine), consults the result cache (and, on resume, the
 run journal) first, and returns results **in job order regardless of
 worker count or completion order**, so serial and parallel runs are
-bit-identical.
-
-``workers=1`` (the default) never touches multiprocessing: jobs run
-inline in submission order, which keeps library callers free of any
-process-spawning side effects.  If a process pool cannot be created at
-all (restricted environments), execution degrades to the same serial
-path.
+bit-identical.  ``workers=1`` (the default) runs jobs inline and never
+touches multiprocessing; pool sizing, crash charging and the serial
+fallback are :mod:`repro.runtime.units`' rules.
 
 Failure handling is policy, not fate (:class:`ExecutionPolicy`):
 
@@ -20,9 +17,6 @@ Failure handling is policy, not fate (:class:`ExecutionPolicy`):
   — a per-job wall-clock deadline and/or total backtrack budget checked
   inside the engine loops.  Tripping one raises the typed
   :class:`~repro.errors.JobTimeoutError` / :class:`~repro.errors.AbortedError`.
-* A crashed pool worker (a real OOM kill, or an injected
-  ``chaos.crash``) poisons only the jobs in flight: the broken pool is
-  rebuilt and every other job proceeds.
 * ``on_error`` picks the degradation: ``"raise"`` (default — the first
   failure propagates, the historical behavior), ``"skip"`` (failed jobs
   yield ``None`` results and a ``timeout``/``failed``
@@ -30,6 +24,7 @@ Failure handling is policy, not fate (:class:`ExecutionPolicy`):
   re-attempted up to ``policy.max_attempts`` times with exponential
   backoff; deterministic failures retry under a perturbed seed; jobs
   still failing raise :class:`~repro.errors.JobRetriesExhaustedError`).
+  ``"raise"`` and ``"skip"`` give every job exactly one attempt.
 
 Every run produces a :class:`RunManifest` — one :class:`JobRecord` per
 job with wall-clock time, attempt count, and a :class:`JobOutcome` —
@@ -40,7 +35,6 @@ from __future__ import annotations
 
 import enum
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -63,10 +57,11 @@ from ..observability import (
 )
 from .abort import NULL_ABORT, AbortToken, use_abort
 from .cache import AtpgResultCache, result_key
-from .chaos import ChaosConfig, use_chaos
+from .chaos import use_chaos
 from .config import AtpgConfig
 from .journal import RunJournal
 from .policy import ExecutionPolicy, validate_on_error
+from .units import run_units
 
 EXECUTOR_JOBS = register_counter("executor.jobs", "ATPG jobs submitted")
 EXECUTOR_EXECUTED = register_counter(
@@ -213,24 +208,16 @@ class RunManifest:
 class _WorkerPayload(NamedTuple):
     """Everything one job attempt needs on the far side of a pickle."""
 
-    netlist: Netlist
-    config: AtpgConfig
+    job: AtpgJob
+    config: AtpgConfig  # the job's, or its perturbed retry config
     traced: bool
-    deadline_seconds: Optional[float]
-    backtrack_budget: Optional[int]
-    chaos: Optional[ChaosConfig]
-    name: str
-    attempt: int
+    policy: ExecutionPolicy
 
 
 class _AttemptResult(NamedTuple):
-    """What one job attempt produced — success or a typed failure.
-
-    Failures travel as values, not raised exceptions, so a failed
-    attempt still delivers its partial trace and timing to the parent,
-    and only :class:`~repro.errors.JobFailure` is policy; any other
-    exception is a bug and propagates loudly.
-    """
+    """What one job attempt produced — success or a typed failure,
+    returned as a value so a failed attempt still delivers its partial
+    trace and timing to the parent."""
 
     error: Optional[JobFailure]
     result: Optional[AtpgResult]
@@ -238,7 +225,7 @@ class _AttemptResult(NamedTuple):
     export: Optional[Dict[str, Any]]
 
 
-def _execute(payload: _WorkerPayload, in_pool: bool = False) -> _AttemptResult:
+def _execute(payload: _WorkerPayload, attempt: int, in_pool: bool) -> _AttemptResult:
     """Worker entry point (module-level so it pickles).
 
     When tracing is requested the job runs under its *own* fresh
@@ -254,10 +241,10 @@ def _execute(payload: _WorkerPayload, in_pool: bool = False) -> _AttemptResult:
     hang burns deadline exactly like a real one, and the engine's first
     cooperative check converts it into a timeout.
     """
+    policy = payload.policy
     token = (
-        AbortToken(payload.deadline_seconds, payload.backtrack_budget)
-        if payload.deadline_seconds is not None
-        or payload.backtrack_budget is not None
+        AbortToken(policy.deadline_seconds, policy.backtrack_budget)
+        if policy.deadline_seconds is not None or policy.backtrack_budget is not None
         else NULL_ABORT
     )
     tracer = Tracer() if payload.traced else None
@@ -265,14 +252,10 @@ def _execute(payload: _WorkerPayload, in_pool: bool = False) -> _AttemptResult:
     result: Optional[AtpgResult] = None
     start = time.perf_counter()
     try:
-        with use_abort(token):
-            if payload.chaos is not None:
-                payload.chaos.on_job_start(payload.name, payload.attempt, in_pool)
-            if tracer is not None:
-                with use_tracer(tracer):
-                    result = generate_tests(payload.netlist, config=payload.config)
-            else:
-                result = generate_tests(payload.netlist, config=payload.config)
+        # Untraced, use_tracer(None) keeps the (null) ambient tracer.
+        with use_abort(token), use_tracer(tracer):
+            policy.chaos.on_job_start(payload.job.name, attempt, in_pool)
+            result = generate_tests(payload.job.netlist, config=payload.config)
     except JobFailure as exc:
         error = exc
     seconds = time.perf_counter() - start
@@ -327,11 +310,47 @@ def run_jobs(
             pending.append(index)
 
     if pending:
+        max_attempts = policy.max_attempts if on_error == "retry" else 1
+
+        def payload(index: int) -> _WorkerPayload:
+            return _WorkerPayload(jobs[index], configs[index], tracer.enabled, policy)
+
+        def on_attempt(index: int, count: int, outcome) -> Optional[_WorkerPayload]:
+            if isinstance(outcome, JobFailure):  # the pool lost the worker
+                outcome = _AttemptResult(outcome, None, 0.0, None)
+            attempts[index] = count
+            timings[index] += outcome.seconds
+            if outcome.export is not None:
+                tracer.merge(outcome.export, job=jobs[index].name)
+                phases[index] = phase_breakdown(outcome.export)
+            results[index], errors[index] = outcome.result, outcome.error
+            error = outcome.error
+            if error is None:
+                tracer.count(EXECUTOR_EXECUTED)
+                return None
+            if isinstance(error, JobTimeoutError):
+                tracer.count(EXECUTOR_TIMEOUTS)
+            elif isinstance(error, WorkerCrashError):
+                tracer.count(EXECUTOR_CRASHES)
+            if count >= max_attempts:
+                return None
+            configs[index] = policy.retry_config(jobs[index].config, count, error)
+            tracer.count(EXECUTOR_RETRIES)
+            return payload(index)
+
         with use_chaos(policy.chaos):
-            _run_resilient(
-                jobs, pending, workers, policy, on_error, tracer,
-                results, timings, attempts, errors, configs, phases,
+            fan_out_start = time.perf_counter()
+            processes = run_units(
+                _execute,
+                [(index, payload(index)) for index in pending],
+                workers,
+                on_attempt,
+                policy.backoff_for_round,
             )
+            fan_out_wall = time.perf_counter() - fan_out_start
+            if tracer.enabled and processes > 1 and fan_out_wall > 0:
+                busy = sum(timings[index] for index in pending)
+                tracer.gauge(EXECUTOR_UTILIZATION, busy / (processes * fan_out_wall))
             # Store-back happens inside the chaos scope so injected
             # cache-file corruption (corrupt_stores) lands on these
             # writes.
@@ -411,125 +430,3 @@ def run_jobs(
 
     return list(results), manifest
 
-
-def _run_resilient(
-    jobs: Sequence[AtpgJob],
-    pending: List[int],
-    workers: int,
-    policy: ExecutionPolicy,
-    on_error: str,
-    tracer,
-    results: List[Optional[AtpgResult]],
-    timings: List[float],
-    attempts: List[int],
-    errors: List[Optional[JobFailure]],
-    configs: List[AtpgConfig],
-    phases: List[Dict[str, float]],
-) -> None:
-    """Retry-round engine: run pending jobs until done or out of policy.
-
-    Each round fans the still-active jobs out (serially or across a
-    fresh pool — fresh so a round that broke the pool cannot poison the
-    next), classifies the failures, and decides per job whether another
-    attempt is allowed.  Mutates the by-index accounting lists in
-    place.
-    """
-    active = list(pending)
-    retry_round = 0
-    while active:
-        if retry_round > 0:
-            backoff = policy.backoff_for_round(retry_round)
-            if backoff > 0:
-                time.sleep(backoff)
-        payloads = [
-            _WorkerPayload(
-                netlist=jobs[i].netlist,
-                config=configs[i],
-                traced=tracer.enabled,
-                deadline_seconds=policy.deadline_seconds,
-                backtrack_budget=policy.backtrack_budget,
-                chaos=policy.chaos if policy.chaos.enabled else None,
-                name=jobs[i].name,
-                attempt=attempts[i],
-            )
-            for i in active
-        ]
-        fan_out_start = time.perf_counter()
-        outcomes = _run_round(payloads, workers)
-        fan_out_wall = time.perf_counter() - fan_out_start
-
-        if tracer.enabled:
-            executed = sum(1 for o in outcomes if o.error is None)
-            if executed:
-                tracer.count(EXECUTOR_EXECUTED, executed)
-            if workers > 1 and fan_out_wall > 0 and len(payloads) > 1:
-                busy = sum(o.seconds for o in outcomes)
-                effective = min(workers, len(payloads))
-                tracer.gauge(EXECUTOR_UTILIZATION, busy / (effective * fan_out_wall))
-
-        next_active: List[int] = []
-        for index, outcome in zip(active, outcomes):
-            attempts[index] += 1
-            timings[index] += outcome.seconds
-            if outcome.export is not None:
-                tracer.merge(outcome.export, job=jobs[index].name)
-                phases[index] = phase_breakdown(outcome.export)
-            if outcome.error is None:
-                results[index] = outcome.result
-                errors[index] = None
-                continue
-            error = outcome.error
-            if tracer.enabled:
-                if isinstance(error, JobTimeoutError):
-                    tracer.count(EXECUTOR_TIMEOUTS)
-                elif isinstance(error, WorkerCrashError):
-                    tracer.count(EXECUTOR_CRASHES)
-            errors[index] = error
-            if on_error == "retry" and attempts[index] < policy.max_attempts:
-                configs[index] = policy.retry_config(
-                    jobs[index].config, attempts[index], error
-                )
-                if tracer.enabled:
-                    tracer.count(EXECUTOR_RETRIES)
-                next_active.append(index)
-        active = next_active
-        retry_round += 1
-
-
-def _run_round(
-    payloads: List[_WorkerPayload], workers: int
-) -> List[_AttemptResult]:
-    """Execute one round of payloads serially or across a process pool.
-
-    A worker that dies mid-job breaks the whole
-    ``concurrent.futures`` pool; every payload whose future the break
-    swallowed — the crasher *and* any innocents queued behind it — is
-    reported as a :class:`~repro.errors.WorkerCrashError` attempt so
-    the retry policy can re-run it in the next round's fresh pool.
-    """
-    if workers == 1 or len(payloads) == 1:
-        return [_execute(payload) for payload in payloads]
-    try:
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            futures = [pool.submit(_execute, payload, True) for payload in payloads]
-            outcomes: List[_AttemptResult] = []
-            for payload, future in zip(payloads, futures):
-                try:
-                    outcomes.append(future.result())
-                except BrokenExecutor:
-                    outcomes.append(
-                        _AttemptResult(
-                            WorkerCrashError(
-                                f"worker process died while running "
-                                f"{payload.name!r} (attempt {payload.attempt})"
-                            ),
-                            None,
-                            0.0,
-                            None,
-                        )
-                    )
-            return outcomes
-    except (OSError, PermissionError):
-        # No process pool available (sandboxed/limited environments):
-        # same results, just serial.
-        return [_execute(payload) for payload in payloads]

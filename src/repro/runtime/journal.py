@@ -18,27 +18,21 @@ every :func:`~repro.runtime.executor.run_jobs` batch, so it is also a
 live progress file.
 
 Corrupt journal entries are quarantined and recomputed, exactly like
-cache entries (:mod:`repro.runtime.cache`).
+cache entries (both go through :mod:`repro.runtime.records`).
 """
 
 from __future__ import annotations
 
-import json
-import os
-import threading
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..atpg.engine import AtpgResult
-from ..core.serialization import (
-    SCHEMA_VERSION,
-    atpg_result_from_dict,
-    atpg_result_to_dict,
-)
-from ..errors import CacheCorruptionError, ConfigError
+from ..core.serialization import SCHEMA_VERSION, atpg_result_to_dict
+from ..errors import ConfigError
 from ..observability import get_tracer, register_counter
-from .cache import quarantine_file
+from .cache import keyed_result
 from .config import AtpgConfig
+from .records import read_record, write_record
 
 JOURNAL_RESUMED = register_counter(
     "journal.resumed", "jobs skipped on resume (journal hits)"
@@ -76,11 +70,6 @@ class RunJournal:
     def _path(self, key: str) -> Path:
         return self.jobs_dir / f"{key}.json"
 
-    @staticmethod
-    def _tmp_name(name: str) -> str:
-        """A tmp filename no other live writer can be using."""
-        return f"{name}.{os.getpid()}.{threading.get_ident()}.tmp"
-
     def get(self, key: str) -> Optional[AtpgResult]:
         """The journaled result under ``key``, or None.
 
@@ -90,36 +79,21 @@ class RunJournal:
         """
         if not self.resume:
             return None
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("key") != key:
-                raise CacheCorruptionError(
-                    f"journal entry {path.name} claims key "
-                    f"{payload.get('key')!r}, expected {key!r}"
-                )
-            result = atpg_result_from_dict(payload["result"])
-        except FileNotFoundError:
-            return None
-        except (ValueError, KeyError, TypeError, OSError):
-            quarantine_file(path)
-            get_tracer().count(JOURNAL_QUARANTINED)
-            return None
-        self.resumed_jobs += 1
-        get_tracer().count(JOURNAL_RESUMED)
+        result = read_record(
+            self._path(key),
+            keyed_result(key),
+            lambda: get_tracer().count(JOURNAL_QUARANTINED),
+        )
+        if result is not None:
+            self.resumed_jobs += 1
+            get_tracer().count(JOURNAL_RESUMED)
         return result
 
     def record(
         self, key: str, name: str, config: AtpgConfig, result: AtpgResult
     ) -> None:
-        """Durably journal one fresh result (atomic, concurrency-safe).
-
-        The tmp file name includes the pid and thread id, so concurrent
-        writers — the job service journaling batches while a CLI run
-        shares the directory, or two resumed runs racing — can never
-        interleave on one tmp path; last rename wins with a complete
-        file either way.
-        """
+        """Durably journal one fresh result (atomic, concurrency-safe:
+        see :func:`~repro.runtime.records.write_record`)."""
         payload = {
             "schema": SCHEMA_VERSION,
             "key": key,
@@ -127,10 +101,7 @@ class RunJournal:
             "config": config.to_dict(),
             "result": atpg_result_to_dict(result),
         }
-        path = self._path(key)
-        tmp = path.with_name(self._tmp_name(path.name))
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
+        write_record(self._path(key), payload)
         get_tracer().count(JOURNAL_RECORDS)
 
     # -- the canonical manifest -----------------------------------------
@@ -155,15 +126,8 @@ class RunJournal:
         )
 
     def write_manifest(self) -> Path:
-        """(Re)write ``manifest.json`` — deterministic bytes, no clocks.
-
-        Same per-writer tmp discipline as :meth:`record`: concurrent
-        writers sharing the directory each rename a complete file into
-        place, never a torn mix.
-        """
-        payload = {"schema": SCHEMA_VERSION, "jobs": self.completed}
+        """(Re)write ``manifest.json`` — deterministic bytes, no clocks."""
         path = self.directory / "manifest.json"
-        tmp = path.with_name(self._tmp_name("manifest.json"))
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        tmp.replace(path)
+        payload = {"schema": SCHEMA_VERSION, "jobs": self.completed}
+        write_record(path, payload, indent=1)
         return path

@@ -77,6 +77,7 @@ from ..runtime.chaos import ChaosConfig
 from ..runtime.executor import AtpgJob, run_jobs
 from ..runtime.journal import RunJournal
 from ..runtime.policy import ExecutionPolicy
+from ..runtime.records import write_record
 from ..core.serialization import atpg_result_to_dict
 from .config import ServiceConfig
 from .jobs import (
@@ -520,11 +521,11 @@ class JobServer:
         rows = [
             self.jobs[seq].manifest_row() for seq in sorted(self.jobs)
         ]
-        payload = {"schema": 1, "jobs": rows}
-        path = Path(self.config.journal_dir) / MANIFEST_NAME
-        tmp = path.with_name(f"{MANIFEST_NAME}.{self.port or 0}.tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        tmp.replace(path)
+        write_record(
+            Path(self.config.journal_dir) / MANIFEST_NAME,
+            {"schema": 1, "jobs": rows},
+            indent=1,
+        )
 
     # -- job lookup ------------------------------------------------------
 

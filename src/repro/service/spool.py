@@ -4,10 +4,11 @@ The run journal (:mod:`repro.runtime.journal`) makes *finished* work
 durable; the spool makes *accepted* work durable.  Every admitted job
 is written to ``JOURNAL_DIR/queue/q<seq>.json`` before the submit call
 returns, created with ``O_EXCL`` so two writers can never interleave on
-one entry, and updated atomically (unique tmp + rename) on every state
-change.  A resumed server replays the spool in submission order:
-entries whose content key is already journaled complete instantly;
-everything else re-enters the fair-share queue.  Together with the
+one entry, and updated atomically
+(:func:`~repro.runtime.records.write_record`) on every state change.
+A resumed server replays the spool in submission order: entries whose
+content key is already journaled complete instantly; everything else
+re-enters the fair-share queue.  Together with the
 clock-free journal this makes a SIGKILLed server's drained queue
 byte-identical to an uninterrupted run's.
 
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..observability import get_tracer, register_counter
-from ..runtime.cache import quarantine_file
+from ..runtime.records import read_record, write_record
 
 SPOOL_DIR = "queue"
 
@@ -68,13 +69,10 @@ class SubmissionSpool:
         get_tracer().count(SPOOL_WRITES)
 
     def update(self, record: Dict[str, Any]) -> None:
-        """Rewrite one entry atomically (unique tmp + rename)."""
+        """Rewrite one entry atomically (per-writer tmp + rename)."""
         if self.directory is None:
             return
-        path = self._path(int(record["seq"]))
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        tmp.replace(path)
+        write_record(self._path(int(record["seq"])), record)
         get_tracer().count(SPOOL_WRITES)
 
     def load(self) -> List[Dict[str, Any]]:
@@ -83,14 +81,13 @@ class SubmissionSpool:
             return []
         records: List[Dict[str, Any]] = []
         for path in sorted(self.directory.glob("q*.json")):
-            try:
-                record = json.loads(path.read_text())
-                record["seq"] = int(record["seq"])
-            except (ValueError, KeyError, TypeError, OSError):
-                quarantine_file(path)
-                get_tracer().count(SPOOL_QUARANTINED)
-                continue
-            records.append(record)
+            record = read_record(
+                path,
+                lambda entry: {**entry, "seq": int(entry["seq"])},
+                lambda: get_tracer().count(SPOOL_QUARANTINED),
+            )
+            if record is not None:
+                records.append(record)
         records.sort(key=lambda record: record["seq"])
         return records
 

@@ -14,39 +14,28 @@ Determinism contract: point seeds are derived, not drawn, and records
 are journaled at shard granularity but **aggregated strictly in shard
 order**, so serial, parallel, and killed-and-resumed runs all produce
 byte-identical aggregate statistics.  Worker processes only ever see
-whole shards; a shard lost to a crashed worker is retried under the
-runtime's :class:`~repro.runtime.policy.ExecutionPolicy` (fresh pool,
-same points, same seeds).
+whole shards, fanned out by :func:`~repro.runtime.units.run_units` (the
+loop ATPG jobs use too); a failed shard is retried with the same points
+and seeds up to ``policy.max_attempts``, whatever the runtime's
+``on_error``.
 
-The engine is deliberately a *leaf* dependency — it imports only
-:mod:`repro.errors` and :mod:`repro.observability` — so low layers
-like :mod:`repro.core.sweep` can build on it without import cycles.
+The engine stays off the ATPG stack — beyond :mod:`repro.errors` and
+:mod:`repro.observability` it imports only the chaos, policy and units
+modules of :mod:`repro.runtime` — so low layers like
+:mod:`repro.core.sweep` can build on it without import cycles.
 """
 
 from __future__ import annotations
 
-import time
-from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    ProcessPoolExecutor,
-    wait,
-)
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Union
 
 from ..errors import ConfigError, JobFailure, JobRetriesExhaustedError
 from ..observability import get_tracer, register_counter
+from ..runtime.chaos import ChaosConfig
+from ..runtime.policy import ExecutionPolicy
+from ..runtime.units import run_units
 from .aggregate import Aggregator
 from .spec import SweepPointSpec, SweepSpec
 from .store import ShardStore
@@ -64,27 +53,20 @@ class _ShardTask(NamedTuple):
     index: int
     evaluate: Evaluator
     points: List[SweepPointSpec]
-    chaos: Optional[Any]  # ChaosConfig, duck-typed to keep this module leaf
-    attempt: int
-    in_pool: bool
+    chaos: ChaosConfig
 
 
-def _evaluate_shard(task: _ShardTask) -> List[Dict[str, Any]]:
+def _evaluate_shard(
+    task: _ShardTask, attempt: int, in_pool: bool
+) -> List[Dict[str, Any]]:
     """Worker entry point (module-level so it pickles).
 
     The chaos hook fires before the first evaluation, with the shard as
     the job — so an injected hang/crash/flake hits sweeps exactly the
     way it hits ATPG jobs, and the same retry policy recovers it.
     """
-    if task.chaos is not None:
-        task.chaos.on_job_start(
-            f"shard-{task.index}", task.attempt, task.in_pool
-        )
-    records = []
-    for point in task.points:
-        record = task.evaluate(point)
-        records.append(dict(record))
-    return records
+    task.chaos.on_job_start(f"shard-{task.index}", attempt, in_pool)
+    return [dict(task.evaluate(point)) for point in task.points]
 
 
 @dataclass
@@ -113,12 +95,10 @@ class _NeutralRuntime:
     unjournaled, ambient tracer, default policy."""
 
     workers = 1
-    policy = None
+    policy = ExecutionPolicy()
     journal = None
 
     def activate(self):
-        from contextlib import nullcontext
-
         return nullcontext(get_tracer())
 
 
@@ -146,16 +126,13 @@ class SweepEngine:
         store_dir: Optional[Union[str, Any]],
         resume: bool,
     ) -> Optional[ShardStore]:
-        if store_dir is not None:
-            return ShardStore(store_dir, spec.fingerprint(), resume=resume)
-        journal = getattr(self.runtime, "journal", None)
-        if journal is None:
-            return None
-        return ShardStore(
-            journal.directory / "sweeps" / spec.name,
-            spec.fingerprint(),
-            resume=journal.resume,
-        )
+        if store_dir is None:
+            journal = self.runtime.journal
+            if journal is None:
+                return None
+            store_dir = journal.directory / "sweeps" / spec.name
+            resume = journal.resume
+        return ShardStore(store_dir, spec.fingerprint(), resume=resume)
 
     # -- execution -------------------------------------------------------
 
@@ -184,12 +161,8 @@ class SweepEngine:
             for start in range(0, len(points), self.shard_size)
         ]
         store = self._store_for(spec, store_dir, resume)
-        policy = getattr(self.runtime, "policy", None)
-        workers = getattr(self.runtime, "workers", 1)
-        max_attempts = policy.max_attempts if policy is not None else 3
-        chaos = None
-        if policy is not None and policy.chaos.enabled:
-            chaos = policy.chaos
+        policy = self.runtime.policy
+        workers = self.runtime.workers
 
         recalled: Dict[int, List[Dict[str, Any]]] = {}
         if store is not None:
@@ -213,47 +186,63 @@ class SweepEngine:
             with tracer.span(
                 "sweep", name=spec.name, points=len(points), shards=len(shards)
             ):
-                flush_state = {"next": 0}
+                ready = dict(recalled)
+                flushed = 0
 
-                def flush(ready: Dict[int, List[Dict[str, Any]]]) -> None:
+                def flush() -> None:
                     """Feed aggregators every shard that is next in order."""
-                    while flush_state["next"] in ready:
-                        index = flush_state["next"]
-                        records = ready.pop(index)
+                    nonlocal flushed
+                    while flushed in ready:
+                        records = ready.pop(flushed)
                         for record in records:
                             for aggregator in aggregators:
                                 aggregator.add(record)
                         if collect:
                             result.records.extend(records)
                         if store is not None:
-                            store.note(index, len(records))
+                            store.note(flushed, len(records))
                             store.write_manifest(spec.describe())
-                        flush_state["next"] += 1
+                        flushed += 1
 
-                ready = dict(recalled)
-                flush(ready)
+                flush()
 
-                def on_ready(index: int, records: List[Dict[str, Any]]) -> None:
+                tasks = {
+                    index: _ShardTask(index, evaluate, shards[index], policy.chaos)
+                    for index in pending
+                }
+
+                def on_attempt(index: int, attempts: int, outcome):
+                    if isinstance(outcome, JobFailure):
+                        if attempts >= policy.max_attempts:
+                            raise JobRetriesExhaustedError(
+                                f"sweep shard {index} still failing after "
+                                f"{attempts} attempts: "
+                                f"{type(outcome).__name__}: {outcome}"
+                            ) from outcome
+                        tracer.count(SWEEP_RETRIES)
+                        return tasks[index]
                     # Journal-first: the shard is durable before its
                     # records influence any aggregate, so a kill between
                     # the two replays identically on resume.
                     if store is not None:
-                        store.record(index, records)
-                    if tracer.enabled:
-                        tracer.count(SWEEP_SHARDS)
-                        tracer.count(SWEEP_POINTS, len(records))
-                    ready[index] = records
-                    flush(ready)
+                        store.record(index, outcome)
+                    tracer.count(SWEEP_SHARDS)
+                    tracer.count(SWEEP_POINTS, len(outcome))
+                    ready[index] = outcome
+                    flush()
+                    return None
 
-                if pending:
-                    self._execute(
-                        shards, pending, evaluate, workers, max_attempts,
-                        chaos, policy, tracer, on_ready,
-                    )
+                run_units(
+                    _evaluate_shard,
+                    tasks.items(),
+                    workers,
+                    on_attempt,
+                    policy.backoff_for_round,
+                )
 
-                if flush_state["next"] != len(shards):
+                if flushed != len(shards):
                     raise RuntimeError(
-                        f"sweep {spec.name!r}: only {flush_state['next']} of "
+                        f"sweep {spec.name!r}: only {flushed} of "
                         f"{len(shards)} shards flushed"
                     )
                 for aggregator in aggregators:
@@ -267,150 +256,3 @@ class SweepEngine:
         }
         return result
 
-    def _execute(
-        self,
-        shards: List[List[SweepPointSpec]],
-        pending: List[int],
-        evaluate: Evaluator,
-        workers: int,
-        max_attempts: int,
-        chaos: Optional[Any],
-        policy: Optional[Any],
-        tracer,
-        on_ready: Callable[[int, List[Dict[str, Any]]], None],
-    ) -> None:
-        """Evaluate the pending shards, serially or across a pool."""
-        if workers <= 1 or len(pending) == 1:
-            for index in pending:
-                on_ready(
-                    index,
-                    self._run_serial(
-                        index, shards[index], evaluate, max_attempts,
-                        chaos, policy, tracer,
-                    ),
-                )
-            return
-        try:
-            self._run_pool(
-                shards, pending, evaluate, workers, max_attempts,
-                chaos, policy, tracer, on_ready,
-            )
-        except (OSError, PermissionError):
-            # No process pool available (sandboxed/limited
-            # environments): same records, just serial.
-            for index in pending:
-                on_ready(
-                    index,
-                    self._run_serial(
-                        index, shards[index], evaluate, max_attempts,
-                        chaos, policy, tracer,
-                    ),
-                )
-
-    def _run_serial(
-        self,
-        index: int,
-        points: List[SweepPointSpec],
-        evaluate: Evaluator,
-        max_attempts: int,
-        chaos: Optional[Any],
-        policy: Optional[Any],
-        tracer,
-    ) -> List[Dict[str, Any]]:
-        last: Optional[JobFailure] = None
-        for attempt in range(max_attempts):
-            if attempt and policy is not None:
-                backoff = policy.backoff_for_round(attempt)
-                if backoff > 0:
-                    time.sleep(backoff)
-            try:
-                return _evaluate_shard(_ShardTask(
-                    index=index, evaluate=evaluate, points=points,
-                    chaos=chaos, attempt=attempt, in_pool=False,
-                ))
-            except JobFailure as exc:
-                last = exc
-                if tracer.enabled:
-                    tracer.count(SWEEP_RETRIES)
-        raise JobRetriesExhaustedError(
-            f"sweep shard {index} still failing after {max_attempts} "
-            f"attempts: {type(last).__name__}: {last}"
-        ) from last
-
-    def _run_pool(
-        self,
-        shards: List[List[SweepPointSpec]],
-        pending: List[int],
-        evaluate: Evaluator,
-        workers: int,
-        max_attempts: int,
-        chaos: Optional[Any],
-        policy: Optional[Any],
-        tracer,
-        on_ready: Callable[[int, List[Dict[str, Any]]], None],
-    ) -> None:
-        """Windowed pool fan-out with per-shard retry.
-
-        At most ``4 x workers`` shards are in flight, so completion
-        (and therefore aggregation and journaling) tracks submission
-        order closely and memory stays bounded on huge sweeps.  A
-        broken pool (worker crash, injected or real) is rebuilt; only
-        the shards whose futures it swallowed are charged an attempt.
-        """
-        effective = min(workers, len(pending))
-        window = effective * 4
-        queue = deque(pending)
-        attempts: Dict[int, int] = {index: 0 for index in pending}
-        pool = ProcessPoolExecutor(max_workers=effective)
-        in_flight: Dict[Any, int] = {}
-
-        def submit(index: int) -> None:
-            task = _ShardTask(
-                index=index, evaluate=evaluate, points=shards[index],
-                chaos=chaos, attempt=attempts[index], in_pool=True,
-            )
-            attempts[index] += 1
-            in_flight[pool.submit(_evaluate_shard, task)] = index
-
-        try:
-            while queue and len(in_flight) < window:
-                submit(queue.popleft())
-            while in_flight:
-                done, _ = wait(set(in_flight), return_when=FIRST_COMPLETED)
-                rebuild = False
-                for future in done:
-                    index = in_flight.pop(future)
-                    try:
-                        on_ready(index, future.result())
-                        continue
-                    except BrokenExecutor:
-                        rebuild = True
-                        failure: JobFailure = JobFailure(
-                            f"worker process died while evaluating sweep "
-                            f"shard {index}"
-                        )
-                    except JobFailure as exc:
-                        failure = exc
-                    if attempts[index] >= max_attempts:
-                        raise JobRetriesExhaustedError(
-                            f"sweep shard {index} still failing after "
-                            f"{attempts[index]} attempts: "
-                            f"{type(failure).__name__}: {failure}"
-                        ) from failure
-                    if tracer.enabled:
-                        tracer.count(SWEEP_RETRIES)
-                    queue.append(index)
-                if rebuild:
-                    # The broken pool poisons every queued future; pull
-                    # the survivors back into the queue (no attempt
-                    # charged — they never ran) and start fresh.
-                    for future, index in list(in_flight.items()):
-                        queue.append(index)
-                        attempts[index] -= 1
-                    in_flight.clear()
-                    pool.shutdown(wait=False)
-                    pool = ProcessPoolExecutor(max_workers=effective)
-                while queue and len(in_flight) < window:
-                    submit(queue.popleft())
-        finally:
-            pool.shutdown(wait=False)

@@ -12,8 +12,8 @@ to an uninterrupted run's.
 Every shard file carries the owning spec's fingerprint; resuming a
 directory written by a *different* sweep is a :class:`ConfigError`,
 not silently mixed statistics.  Corrupt shard files are quarantined
-and recomputed, exactly like cache entries
-(:mod:`repro.runtime.cache`).
+and recomputed, exactly like cache entries: both are written and read
+through :mod:`repro.runtime.records`.
 
 ``RUN_DIR/sweep.json`` is the run's clock-free manifest (spec
 description plus per-shard point counts), rewritten after every shard
@@ -23,12 +23,12 @@ uninterrupted runs leave byte-identical manifests.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..errors import ConfigError
 from ..observability import get_tracer, register_counter
+from ..runtime.records import read_record, write_record
 
 STORE_SCHEMA = 1
 
@@ -90,33 +90,25 @@ class ShardStore:
         if not self.resume:
             return None
         path = self._path(index)
-        try:
-            payload = json.loads(path.read_text())
+
+        def parse(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
             if payload.get("fingerprint") != self.fingerprint:
                 raise ConfigError(
                     f"sweep shard {path.name} belongs to sweep "
                     f"{payload.get('fingerprint')!r}, not {self.fingerprint!r}; "
                     f"refusing to resume a different sweep's run directory"
                 )
-            if payload.get("shard") != index:
-                raise ValueError(
-                    f"shard file {path.name} claims index {payload.get('shard')}"
-                )
             records = payload["records"]
-            if not isinstance(records, list):
-                raise TypeError("records must be a list")
-        except FileNotFoundError:
-            return None
-        except ConfigError:
-            raise
-        except (ValueError, KeyError, TypeError, OSError):
-            from ..runtime.cache import quarantine_file
+            if payload.get("shard") != index or not isinstance(records, list):
+                raise ValueError(f"{path.name} does not hold shard {index}'s records")
+            return records
 
-            quarantine_file(path)
-            get_tracer().count(SHARDS_QUARANTINED)
-            return None
-        self.resumed_shards += 1
-        get_tracer().count(SHARDS_RESUMED)
+        records = read_record(
+            path, parse, lambda: get_tracer().count(SHARDS_QUARANTINED)
+        )
+        if records is not None:
+            self.resumed_shards += 1
+            get_tracer().count(SHARDS_RESUMED)
         return records
 
     def record(self, index: int, records: List[Dict[str, Any]]) -> None:
@@ -127,10 +119,7 @@ class ShardStore:
             "shard": index,
             "records": records,
         }
-        path = self._path(index)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        tmp.replace(path)
+        write_record(self._path(index), payload)
         get_tracer().count(SHARDS_RECORDED)
 
     # -- the manifest ----------------------------------------------------
@@ -148,7 +137,5 @@ class ShardStore:
             "shards": self._manifest_shards,
         }
         path = self.directory / "sweep.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-        tmp.replace(path)
+        write_record(path, payload, indent=1)
         return path

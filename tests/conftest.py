@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.circuit import Netlist, parse_bench
@@ -77,3 +80,35 @@ def hier_soc() -> Soc:
         ],
         top="top",
     )
+
+
+@pytest.fixture
+def hammer():
+    """``hammer(fn)`` calls ``fn`` 300 times on each of 8 threads at once,
+    with a short switch interval to force interleaving, and returns the
+    exceptions the threads raised."""
+
+    def run(fn):
+        errors = []
+
+        def worker():
+            try:
+                for _ in range(300):
+                    fn()
+            except Exception as exc:
+                errors.append(exc)
+
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in workers)
+        return errors
+
+    return run

@@ -1,7 +1,9 @@
 """Tests for the hardened execution layer: typed errors, deadlines,
 retries, chaos injection, and checkpoint/resume."""
 
+import errno
 import json
+import os
 import pickle
 
 import pytest
@@ -258,6 +260,26 @@ class TestFailureModes:
         for got, want in zip(results, baseline):
             assert_same_result(got, want)
         assert all(r.outcome is JobOutcome.RETRIED_OK for r in manifest.records)
+
+    def test_pool_task_oserror_propagates_without_serial_rerun(
+        self, netlist, other_netlist, monkeypatch
+    ):
+        # An OSError raised by a job in a pool worker is a bug, not a
+        # missing process pool: it propagates and the round is not
+        # re-run in this process.  The patched engine is forked into the
+        # workers; only calls made here, in the parent, are recorded.
+        from repro.runtime import executor
+
+        parent_calls = []
+
+        def generate_tests(netlist, config):
+            parent_calls.append(os.getpid())
+            raise OSError(errno.EIO, "injected I/O error")
+
+        monkeypatch.setattr(executor, "generate_tests", generate_tests)
+        with pytest.raises(OSError, match="injected I/O error"):
+            run_jobs(two_jobs(netlist, other_netlist), workers=2)
+        assert parent_calls == []
 
     def test_retries_exhausted_raises_typed_error(self, netlist):
         policy = ExecutionPolicy(

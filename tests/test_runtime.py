@@ -167,6 +167,21 @@ class TestCache:
         assert len(cache) == 0
         assert cache.get(netlist, AtpgConfig()) is None
 
+    def test_concurrent_puts_of_one_key_never_collide(
+        self, netlist, tmp_path, hammer
+    ):
+        # The CLI and the job service share one cache directory, so
+        # several writers can store the same key at once: each must
+        # rename its own complete file into place.
+        config = AtpgConfig(seed=5)
+        result = generate_tests(netlist, config=config)
+        cache = AtpgResultCache(tmp_path)
+        assert hammer(lambda: cache.put(netlist, config, result)) == []
+        (path,) = tmp_path.glob("*.json")
+        assert json.loads(path.read_text())["key"] == result_key(netlist, config)
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert_same_result(AtpgResultCache(tmp_path).get(netlist, config), result)
+
     def test_env_var_override(self, tmp_path, monkeypatch):
         from repro.runtime import default_cache_dir
 

@@ -9,6 +9,7 @@ load-bearing property and gets the most scrutiny, including a real
 SIGKILL of a population run mid-flight.
 """
 
+import errno
 import json
 import os
 import signal
@@ -71,6 +72,15 @@ def eval_linear_dying(point):
     threshold = DIE_AT["threshold"]
     if threshold is not None and point.index >= threshold:
         raise RuntimeError(f"injected death at point {point.index}")
+    return eval_linear(point)
+
+
+def eval_linear_marking(point):
+    """:func:`eval_linear` that appends one mark per evaluation to
+    ``<marks>/<index>``, so tests can count evaluations across worker
+    processes."""
+    with open(Path(point.params["marks"]) / str(point.index), "a") as handle:
+        handle.write("x")
     return eval_linear(point)
 
 
@@ -405,12 +415,85 @@ class TestSweepEngine:
         with pytest.raises(JobRetriesExhaustedError):
             SweepEngine(runtime, shard_size=5).run(grid_spec(), eval_linear)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "chaos",
+        [ChaosConfig(crash_attempts=1), ChaosConfig(flaky_attempts=1)],
+        ids=["crash", "flaky"],
+    )
+    def test_chaos_run_recovers_serial_records(self, workers, chaos):
+        # Crashes (a hard worker exit in the pool, WorkerCrashError
+        # inline) and flakes are retried to the chaos-free result.
+        clean = SweepEngine(shard_size=2).run(
+            grid_spec(), eval_linear, collect=True
+        )
+        runtime = Runtime(workers=workers, policy=ExecutionPolicy(chaos=chaos))
+        recovered = SweepEngine(runtime, shard_size=2).run(
+            grid_spec(), eval_linear, collect=True
+        )
+        assert recovered.records == clean.records
+
+    def test_pool_crash_storm_wider_than_window_recovers(self):
+        # 20 shards overflow the 4-per-worker window, so crash retries
+        # and fresh first attempts would share the pool; every shard
+        # must still succeed within the default max_attempts.
+        clean = SweepEngine(shard_size=2).run(
+            grid_spec(n=40), eval_linear, collect=True
+        )
+        runtime = Runtime(
+            workers=2, policy=ExecutionPolicy(chaos=ChaosConfig(crash_attempts=1))
+        )
+        recovered = SweepEngine(runtime, shard_size=2).run(
+            grid_spec(n=40), eval_linear, collect=True
+        )
+        assert recovered.records == clean.records
+
+    def test_journal_write_error_propagates_from_pool(
+        self, tmp_path, monkeypatch
+    ):
+        # A failing shard write is not "no process pool available": it
+        # must surface, and no shard may be re-evaluated serially.
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        calls = []
+        original = ShardStore.record
+
+        def record(self, index, records):
+            calls.append(index)
+            if len(calls) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return original(self, index, records)
+
+        monkeypatch.setattr(ShardStore, "record", record)
+        spec = grid_spec(constants={"marks": str(marks)})
+        with pytest.raises(OSError) as excinfo:
+            SweepEngine(Runtime(workers=2), shard_size=2).run(
+                spec, eval_linear_marking, store_dir=tmp_path / "run"
+            )
+        assert excinfo.value.errno == errno.ENOSPC
+        assert len(calls) == 2
+        # Shards already handed to the workers may still be running (a
+        # mark opened but not yet written reads ""), but none ran twice.
+        assert all(path.read_text() in ("", "x") for path in marks.iterdir())
+
     def test_manifest_is_deterministic(self, tmp_path):
         engine = SweepEngine(shard_size=3)
         engine.run(grid_spec(), eval_linear, store_dir=tmp_path / "a")
         engine.run(grid_spec(), eval_linear, store_dir=tmp_path / "b")
         assert (tmp_path / "a" / "sweep.json").read_bytes() == \
             (tmp_path / "b" / "sweep.json").read_bytes()
+
+
+class TestShardStore:
+    def test_concurrent_records_of_one_shard_never_collide(
+        self, tmp_path, hammer
+    ):
+        store = ShardStore(tmp_path, "fp")
+        records = [{"index": i, "y": 3.0 * i} for i in range(20)]
+        assert hammer(lambda: store.record(0, records)) == []
+        payload = json.loads((tmp_path / "shards" / "shard-000000.json").read_text())
+        assert payload["records"] == records
+        assert list((tmp_path / "shards").glob("*.tmp")) == []
 
 
 class TestCoreSweepOnEngine:
