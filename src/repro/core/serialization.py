@@ -9,7 +9,8 @@ names match the dataclasses.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+import operator
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..soc.model import Core, Soc
 from .analysis import SocAnalysis, analyze
@@ -138,6 +139,14 @@ def dumps(data: Dict[str, Any], indent: int = 2) -> str:
     return json.dumps(data, indent=indent, sort_keys=True)
 
 
+def dumps_spliced(payload: Dict[str, Any], encoded: Dict[str, str]) -> str:
+    """``json.dumps(payload, sort_keys=True)`` plus the fields of
+    ``encoded``, whose values are already compact JSON text."""
+    items = {key: json.dumps(value, sort_keys=True) for key, value in payload.items()}
+    items.update(encoded)
+    return "{%s}" % ", ".join(f"{json.dumps(k)}: {items[k]}" for k in sorted(items))
+
+
 def loads_soc(text: str) -> Soc:
     return soc_from_dict(json.loads(text))
 
@@ -199,12 +208,12 @@ def fault_from_dict(data: Dict[str, Any]):
     )
 
 
-def atpg_result_to_dict(result) -> Dict[str, Any]:
-    """One AtpgResult as a JSON-ready dict (schema-versioned)."""
+def _result_fields(result, test_set: Any) -> Dict[str, Any]:
+    """The layout of one AtpgResult, with its test set given apart."""
     return {
         "schema": SCHEMA_VERSION,
         "circuit": result.circuit_name,
-        "test_set": test_set_to_dict(result.test_set),
+        "test_set": test_set,
         "fault_count": result.fault_count,
         "detected_count": result.detected_count,
         "untestable": [fault_to_dict(f) for f in result.untestable],
@@ -213,6 +222,52 @@ def atpg_result_to_dict(result) -> Dict[str, Any]:
         "deterministic_pattern_count": result.deterministic_pattern_count,
         "pre_compaction_count": result.pre_compaction_count,
     }
+
+
+def atpg_result_to_dict(result) -> Dict[str, Any]:
+    """One AtpgResult as a JSON-ready dict (schema-versioned)."""
+    return _result_fields(result, test_set_to_dict(result.test_set))
+
+
+def _pattern_template(net_ids) -> Tuple[str, Callable[[Dict[int, int]], tuple]]:
+    """A ``%``-format rendering of any pattern over these net ids, keys in
+    ``sort_keys`` order (as strings, so ``"10"`` precedes ``"2"``), and
+    the getter of its values in that order."""
+    order = sorted(net_ids, key=str)
+    template = "{%s}" % ", ".join('"%d": %%d' % net_id for net_id in order)
+    if len(order) > 1:
+        return template, operator.itemgetter(*order)
+    return template, lambda assignments: tuple(assignments[n] for n in order)
+
+
+def _test_set_json(test_set) -> str:
+    templates: Dict[tuple, Tuple[str, Callable]] = {}
+    parts = []
+    for pattern in test_set.patterns:
+        assignments = pattern.assignments
+        shape = tuple(assignments)
+        if shape not in templates:
+            templates[shape] = _pattern_template(shape)
+        template, getter = templates[shape]
+        values = getter(assignments)
+        # Only plain int 0/1 values (no bool, no float) take the template.
+        if {*values} <= {0, 1} and {*map(type, values)} <= {int}:
+            parts.append(template % values)
+        else:
+            parts.append(json.dumps(test_pattern_to_dict(pattern), sort_keys=True))
+    return '{"circuit": %s, "patterns": [%s]}' % (
+        json.dumps(test_set.circuit_name),
+        ", ".join(parts),
+    )
+
+
+def atpg_result_json(result) -> str:
+    """``json.dumps(atpg_result_to_dict(result), sort_keys=True)``, byte
+    for byte, without building a dict per pattern: the patterns are
+    rendered through one template per distinct net-id set."""
+    return dumps_spliced(
+        _result_fields(result, None), {"test_set": _test_set_json(result.test_set)}
+    )
 
 
 def atpg_result_from_dict(data: Dict[str, Any]):

@@ -31,7 +31,7 @@ from ..circuit.netlist import Netlist
 from ..core.serialization import (
     SCHEMA_VERSION,
     atpg_result_from_dict,
-    atpg_result_to_dict,
+    atpg_result_json,
 )
 from ..errors import CacheCorruptionError, ConfigError
 from ..observability import get_tracer, register_counter
@@ -84,8 +84,14 @@ def netlist_fingerprint(netlist: Netlist) -> str:
 
 def result_key(netlist: Netlist, config: AtpgConfig) -> str:
     """The cache key of one (netlist, config) ATPG run."""
+    return fingerprint_key(netlist_fingerprint(netlist), config)
+
+
+def fingerprint_key(fingerprint: str, config: AtpgConfig) -> str:
+    """:func:`result_key` from the netlist's :func:`netlist_fingerprint`,
+    so one netlist hash serves every config it runs under."""
     hasher = hashlib.sha256()
-    hasher.update(netlist_fingerprint(netlist).encode("ascii"))
+    hasher.update(fingerprint.encode("ascii"))
     hasher.update(config.fingerprint().encode("ascii"))
     return hasher.hexdigest()
 
@@ -144,9 +150,12 @@ class AtpgResultCache:
 
     # -- lookup ---------------------------------------------------------------
 
-    def get(self, netlist: Netlist, config: AtpgConfig) -> Optional[AtpgResult]:
-        """The cached result of this run, or None on a miss."""
-        key = result_key(netlist, config)
+    def get(
+        self, netlist: Netlist, config: AtpgConfig, key: Optional[str] = None
+    ) -> Optional[AtpgResult]:
+        """The cached result of this run (under ``key``, its
+        :func:`result_key`, if the caller has it), or None on a miss."""
+        key = key or result_key(netlist, config)
         result = self._memory.get(key)
         if result is not None:
             self._memory.move_to_end(key)
@@ -163,9 +172,15 @@ class AtpgResultCache:
         get_tracer().count(CACHE_MISSES)
         return None
 
-    def put(self, netlist: Netlist, config: AtpgConfig, result: AtpgResult) -> str:
-        """Store one result under its content key; returns the key."""
-        key = result_key(netlist, config)
+    def put(
+        self, netlist: Netlist, config: AtpgConfig, result: AtpgResult,
+        key: Optional[str] = None, result_json: Optional[str] = None,
+    ) -> str:
+        """Store one result under its content key; returns the key.
+        ``key`` is as for :meth:`get`, and ``result_json`` is the result's
+        :func:`~repro.core.serialization.atpg_result_json` if the caller
+        has it."""
+        key = key or result_key(netlist, config)
         self._remember(key, result)
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -173,10 +188,10 @@ class AtpgResultCache:
                 "schema": SCHEMA_VERSION,
                 "key": key,
                 "config": config.to_dict(),
-                "result": atpg_result_to_dict(result),
             }
             path = self._path(key)
-            write_record(path, payload)
+            text = result_json or atpg_result_json(result)
+            write_record(path, payload, encoded={"result": text})
             self.stats.stores += 1
             get_tracer().count(CACHE_STORES)
             maybe_corrupt_store(path)  # chaos hook; no-op unless injected

@@ -40,6 +40,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..atpg.engine import AtpgResult, generate_tests
 from ..circuit.netlist import Netlist
+from ..core.serialization import atpg_result_json
 from ..errors import (
     ConfigError,
     JobFailure,
@@ -56,7 +57,9 @@ from ..observability import (
     use_tracer,
 )
 from .abort import NULL_ABORT, AbortToken, use_abort
-from .cache import AtpgResultCache, result_key
+# result_key stays bound here: perfbench's traced run wraps it by name.
+from .cache import AtpgResultCache, fingerprint_key, netlist_fingerprint
+from .cache import result_key  # noqa: F401
 from .chaos import use_chaos
 from .config import AtpgConfig
 from .journal import RunJournal
@@ -296,13 +299,19 @@ def run_jobs(
     attempts: List[int] = [0] * len(jobs)
     errors: List[Optional[JobFailure]] = [None] * len(jobs)
     configs: List[AtpgConfig] = [job.config for job in jobs]
-    keys: List[str] = [result_key(job.netlist, job.config) for job in jobs]
+    # One netlist hash per job: retries under a perturbed config key
+    # their results from the same fingerprint.
+    fingerprints: List[str] = []
+    for job in jobs:
+        with tracer.span("runtime.key"):
+            fingerprints.append(netlist_fingerprint(job.netlist))
+    keys = [fingerprint_key(fp, job.config) for fp, job in zip(fingerprints, jobs)]
 
     pending: List[int] = []
     for index, job in enumerate(jobs):
         recalled = journal.get(keys[index]) if journal is not None else None
         if recalled is None and cache is not None:
-            recalled = cache.get(job.netlist, job.config)
+            recalled = cache.get(job.netlist, job.config, keys[index])
         if recalled is not None:
             results[index] = recalled
             hits[index] = True
@@ -353,20 +362,22 @@ def run_jobs(
                 tracer.gauge(EXECUTOR_UTILIZATION, busy / (processes * fan_out_wall))
             # Store-back happens inside the chaos scope so injected
             # cache-file corruption (corrupt_stores) lands on these
-            # writes.
+            # writes.  Each fresh result is encoded once, for both.
             for index in pending:
                 result = results[index]
-                if result is None:
+                if result is None or (journal is None and cache is None):
                     continue
+                text = atpg_result_json(result)
                 if journal is not None:
                     journal.record(
-                        keys[index], jobs[index].name, configs[index], result
+                        keys[index], jobs[index].name, configs[index], result, text
                     )
                 if cache is not None:
                     # Content-addressed: keyed by the config the result
                     # was actually produced with (perturbed on timeout
                     # retries).
-                    cache.put(jobs[index].netlist, configs[index], result)
+                    key = fingerprint_key(fingerprints[index], configs[index])
+                    cache.put(jobs[index].netlist, configs[index], result, key, text)
 
     if tracer.enabled and jobs:
         tracer.count(EXECUTOR_JOBS, len(jobs))

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
 from ..atpg.engine import AtpgResult
-from ..core.serialization import SCHEMA_VERSION, atpg_result_to_dict
+from ..core.serialization import SCHEMA_VERSION, atpg_result_json
 from ..errors import ConfigError
 from ..observability import get_tracer, register_counter
 from .cache import keyed_result
@@ -90,18 +90,20 @@ class RunJournal:
         return result
 
     def record(
-        self, key: str, name: str, config: AtpgConfig, result: AtpgResult
+        self, key: str, name: str, config: AtpgConfig, result: AtpgResult,
+        result_json: Optional[str] = None,
     ) -> None:
         """Durably journal one fresh result (atomic, concurrency-safe:
-        see :func:`~repro.runtime.records.write_record`)."""
+        see :func:`~repro.runtime.records.write_record`); ``result_json``
+        is as for :meth:`~repro.runtime.cache.AtpgResultCache.put`."""
         payload = {
             "schema": SCHEMA_VERSION,
             "key": key,
             "job": name,
             "config": config.to_dict(),
-            "result": atpg_result_to_dict(result),
         }
-        write_record(self._path(key), payload)
+        text = result_json or atpg_result_json(result)
+        write_record(self._path(key), payload, encoded={"result": text})
         get_tracer().count(JOURNAL_RECORDS)
 
     # -- the canonical manifest -----------------------------------------

@@ -13,8 +13,9 @@ import os
 import threading
 from contextlib import suppress
 from pathlib import Path
-from typing import Any, Callable, Optional, TypeVar
+from typing import Any, Callable, Dict, Optional, TypeVar
 
+from ..core.serialization import dumps_spliced
 from ..errors import ConfigError
 
 QUARANTINE_DIR = "quarantine"
@@ -22,17 +23,26 @@ QUARANTINE_DIR = "quarantine"
 T = TypeVar("T")
 
 
-def write_record(path: Path, payload: Any, indent: Optional[int] = None) -> None:
+def write_record(
+    path: Path, payload: Any, indent: Optional[int] = None,
+    encoded: Optional[Dict[str, str]] = None,
+) -> None:
     """Atomically (re)write ``path`` as sorted-key JSON.
 
     Compact on one line by default; manifests pass ``indent=1`` and get
-    a trailing newline.  The tmp name is unique to the writing process
-    and thread, so concurrent writers of one path (the CLI and the job
-    service share a cache directory) each rename a whole file into place.
+    a trailing newline.  ``encoded`` (compact layout only) adds fields
+    whose values are already JSON text, spliced in sorted-key order: an
+    ATPG result is encoded once for both the cache and the journal.
+    The tmp name is unique to the writing process and thread, so
+    concurrent writers of one path (the CLI and the job service share a
+    cache directory) each rename a whole file into place.
     """
-    text = json.dumps(payload, sort_keys=True, indent=indent)
-    if indent is not None:
-        text += "\n"
+    if encoded:
+        text = dumps_spliced(payload, encoded)
+    else:
+        text = json.dumps(payload, sort_keys=True, indent=indent)
+        if indent is not None:
+            text += "\n"
     tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text)
