@@ -10,7 +10,6 @@ the event-driven fault simulator all run on this form.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,11 +119,6 @@ class CompiledCircuit:
         self._build_flat_view()
         self._cone_cache: Dict[int, List[int]] = {}
         self._ffr: Optional[Tuple[List[int], List[int]]] = None
-        # Good-machine batch memo (filled by FaultSimulator): input-rail
-        # key -> fully simulated RailBatch.  Lives here so every
-        # simulator sharing this compilation shares the memo; it is pure
-        # derived state and never part of a run's identity.
-        self.good_value_cache: "OrderedDict" = OrderedDict()
         self.block_lanes: int = self.backend.lanes_for(self)
 
     def _build_flat_view(self) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..circuit.cones import Cone, extract_cones
@@ -128,20 +129,20 @@ class _PatternBlock:
         circuit = self._circuit
         ones, zeros = pack_patterns_flat(circuit, [pattern.assignments])
         # PODEM patterns specify a narrow cone of care bits; the sparse
-        # sweep touches only the gates that cone reaches.
-        simulate_flat_sparse(circuit, ones, zeros, 1)
+        # sweep touches only the gates that cone reaches, and every other
+        # net stays all-X, so only the care bits and the touched nets
+        # need merging.
+        touched: List[int] = []
+        simulate_flat_sparse(circuit, ones, zeros, 1, touched)
         if self.count == 0:
             self.ones = ones
             self.zeros = zeros
         else:
             shift = self.count
             block_ones, block_zeros = self.ones, self.zeros
-            for net_id, one in enumerate(ones):
-                if one:
-                    block_ones[net_id] |= one << shift
-            for net_id, zero in enumerate(zeros):
-                if zero:
-                    block_zeros[net_id] |= zero << shift
+            for net_id in chain(pattern.assignments, touched):
+                block_ones[net_id] |= ones[net_id] << shift
+                block_zeros[net_id] |= zeros[net_id] << shift
         self.count += 1
 
     def detects(self, fault: Fault) -> bool:

@@ -44,7 +44,6 @@ SIM_STATS = {
     "detect_calls": 0,
     "fault_pattern_evals": 0,
     "gate_evals": 0,
-    "good_cache_hits": 0,
     "blocks_evaluated": 0,
 }
 
@@ -74,22 +73,11 @@ KERNEL_METRICS = {
     "gate_evals": register_counter(
         "faultsim.gate_evals", "gate re-evaluations in the event kernel"
     ),
-    "good_cache_hits": register_counter(
-        "faultsim.good_cache_hits",
-        "good-machine batch simulations served from the per-circuit cache",
-    ),
     "blocks_evaluated": register_counter(
         "kernel.blocks_evaluated",
         "packed pattern blocks simulated through the good machine",
     ),
 }
-
-# Per-circuit good-machine memo size.  Batches are keyed by their input
-# rails, so a hit is exact; 32 entries comfortably covers the batch
-# windows the engine replays (n-detect quota passes, coverage checks)
-# without holding more than a few hundred KiB of rails per circuit.
-GOOD_CACHE_CAPACITY = 32
-
 
 def publish_kernel_stats(tracer, baseline: Dict[str, int]) -> None:
     """Count the SIM_STATS growth since ``baseline`` into ``tracer``."""
@@ -153,34 +141,13 @@ class FaultSimulator:
 
         This is the fast path for callers that draw their batches
         directly in packed form (the random phase) — no per-pattern
-        dicts, no repack.  Results are memoized on the circuit, keyed by
-        the exact input-net rails, so replaying a batch (n-detect quota
-        charging, coverage re-checks) skips the gate sweep entirely; a
-        hit is counted in ``SIM_STATS["good_cache_hits"]``.  Cached
-        batches are shared and must be treated as read-only — every
-        consumer in the tree writes fault effects to its own scratch
-        rails, never to the good batch.
+        dicts, no repack.  The rails are simulated in place and the
+        returned batch wraps the same two lists.
         """
         get_abort().check()
-        circuit = self.circuit
-        cache = circuit.good_value_cache
-        key = (
-            count,
-            tuple(ones[i] for i in circuit.input_ids),
-            tuple(zeros[i] for i in circuit.input_ids),
-        )
-        batch = cache.get(key)
-        if batch is not None:
-            cache.move_to_end(key)
-            SIM_STATS["good_cache_hits"] += 1
-            return batch, count
-        simulate_flat(circuit, ones, zeros, count)
+        simulate_flat(self.circuit, ones, zeros, count)
         SIM_STATS["blocks_evaluated"] += 1
-        batch = RailBatch(ones, zeros, count)
-        cache[key] = batch
-        if len(cache) > GOOD_CACHE_CAPACITY:
-            cache.popitem(last=False)
-        return batch, count
+        return RailBatch(ones, zeros, count), count
 
     def detect_mask(
         self,

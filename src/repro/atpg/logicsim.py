@@ -37,6 +37,9 @@ from .compiled import (
 
 Rail = Tuple[int, int]  # (ones mask, zeros mask)
 
+# 0/1 byte values -> "0"/"1" digits, for the byte-transpose packer.
+_BIT_TO_DIGIT = bytes.maketrans(b"\x00\x01", b"01")
+
 
 class RailBatch:
     """Flat dual-rail net values for one packed pattern batch.
@@ -93,21 +96,27 @@ def pack_full_patterns_flat(
     """:func:`pack_patterns_flat` for *fully specified* patterns.
 
     Precondition: every pattern assigns 0/1 (never ``None``) to every
-    input net.  The zeros rail is then just the complement of the ones
-    rail over the batch width, so only the set bits need scattering —
-    about half the per-bit work of the general packer on the final
-    verify sweep's full-width batches.
+    input net; a missing input raises ``KeyError``.  The batch is
+    packed by one byte transpose instead of per-bit scatter: one byte
+    row per pattern (in ``input_ids`` order, whatever the dict's key
+    order), rows joined last pattern first, so each input's column read
+    as binary digits is its ones rail.  The zeros rail is the complement
+    of the ones rail over the batch width.
     """
     ones = [0] * circuit.net_count
     zeros = [0] * circuit.net_count
-    for bit, pattern in enumerate(patterns):
-        mask = 1 << bit
-        for net_id, value in pattern.items():
-            if value:
-                ones[net_id] |= mask
+    if not patterns:
+        return ones, zeros
+    input_ids = circuit.input_ids
+    n = len(input_ids)
+    rows = [bytes(map(pattern.__getitem__, input_ids)) for pattern in patterns]
+    rows.reverse()
+    matrix = b"".join(rows).translate(_BIT_TO_DIGIT)
     full = (1 << len(patterns)) - 1
-    for net_id in circuit.input_ids:
-        zeros[net_id] = ones[net_id] ^ full
+    for j, net_id in enumerate(input_ids):
+        value = int(matrix[j::n], 2)
+        ones[net_id] = value
+        zeros[net_id] = value ^ full
     return ones, zeros
 
 
@@ -263,6 +272,7 @@ def simulate_flat_sparse(
     ones: List[int],
     zeros: List[int],
     pattern_count: int,
+    touched: Optional[List[int]] = None,
 ) -> Tuple[List[int], List[int]]:
     """Event-driven :func:`simulate_flat` for sparse (mostly-X) batches.
 
@@ -278,6 +288,9 @@ def simulate_flat_sparse(
     unvisited gates at X.  For PODEM's partial patterns — a few care
     bits driving a narrow cone — this touches a small fraction of the
     gate table.
+
+    With ``touched`` given, every net the sweep writes is appended to
+    it, so a caller can merge the result without scanning every net.
     """
     full = (1 << pattern_count) - 1
     gate_table = circuit.gate_table
@@ -286,6 +299,7 @@ def simulate_flat_sparse(
     fanout_gates = circuit.fanout_gates
     buckets: List[List[int]] = [[] for _ in range(circuit.max_level + 1)]
     scheduled = bytearray(len(gate_table))
+    note = (touched if touched is not None else []).append
     for net_id in circuit.input_ids:
         if ones[net_id] or zeros[net_id]:
             for slot in range(fanout_start[net_id], fanout_start[net_id + 1]):
@@ -330,6 +344,7 @@ def simulate_flat_sparse(
             if o or z:
                 ones[out] = o
                 zeros[out] = z
+                note(out)
                 for slot in range(fanout_start[out], fanout_start[out + 1]):
                     load = fanout_gates[slot]
                     if not scheduled[load]:

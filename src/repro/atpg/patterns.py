@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .compiled import CompiledCircuit
 
@@ -107,6 +107,12 @@ def random_pattern(
     return TestPattern({net_id: rng.getrandbits(1) for net_id in input_ids})
 
 
+# Top bit of a little-endian 32-bit word's last byte -> its "0"/"1" digit.
+_TOP_BIT_DIGIT = bytes(0x30 + (b >> 7) for b in range(256))
+# _BIT_OF[k][byte] is bit k of byte.
+_BIT_OF = [bytes(b >> k & 1 for b in range(256)) for k in range(8)]
+
+
 def random_pattern_rails(
     input_ids: Sequence[int],
     rng: random.Random,
@@ -122,43 +128,56 @@ def random_pattern_rails(
     :func:`random_pattern` calls, without materializing any per-pattern
     dict.
 
-    RNG consumption contract: one ``rng.getrandbits(1)`` per
-    (pattern, input) pair, patterns outermost, inputs in ``input_ids``
-    order — bit-for-bit the order :func:`random_pattern` consumes, so a
-    shared ``Random`` instance advances identically through either
-    path.  ``tests/test_podem_kernel.py`` enforces both the rail
-    equality and the post-draw RNG state.
+    RNG consumption contract: the same Mersenne words, in the same
+    order, as one ``rng.getrandbits(1)`` per (pattern, input) pair,
+    patterns outermost, inputs in ``input_ids`` order — the order
+    :func:`random_pattern` consumes, so a shared ``Random`` instance
+    advances identically through either path.  The draw is one
+    ``getrandbits(32 * n * count)`` call: CPython's ``getrandbits(1)``
+    is the top bit of one 32-bit word, and a wide ``getrandbits`` lays
+    whole words out least significant first, so byte ``4k + 3`` of the
+    little-endian result carries draw ``k``'s bit in its top bit.  That
+    relies on CPython's word layout; ``tests/test_podem_kernel.py``
+    checks rails and post-draw RNG state against the per-bit path and
+    pins the SHA-256 of one large draw, so a layout change fails loudly
+    instead of shifting Tables 1–2.
     """
     ones = [0] * net_count
     zeros = [0] * net_count
-    getrandbits = rng.getrandbits
-    # Accumulate into a dense per-input list (a list comprehension
-    # evaluates left to right, preserving the draw order) and scatter to
-    # net ids once at the end — the comprehension is markedly faster
-    # than per-draw indexed |= on the full-width rails.
-    vals = [0] * len(input_ids)
-    for bit in range(count):
-        mask = 1 << bit
-        vals = [v | mask if getrandbits(1) else v for v in vals]
+    if not count:
+        return ones, zeros
+    n = len(input_ids)
+    draws = n * count
+    # One digit per draw, pattern-major: digits[bit * n + j] is input
+    # j's value in pattern ``bit``.
+    digits = rng.getrandbits(32 * draws).to_bytes(4 * draws, "little")[3::4]
+    digits = digits.translate(_TOP_BIT_DIGIT)
     # Random patterns are fully specified, so the zeros rail is just the
     # complement of the ones rail over the batch width.
     full = (1 << count) - 1
-    for net_id, value in zip(input_ids, vals):
+    for j, net_id in enumerate(input_ids):
+        value = int(digits[j::n][::-1], 2)
         ones[net_id] = value
         zeros[net_id] = value ^ full
     return ones, zeros
 
 
-def pattern_from_rails(
-    input_ids: Sequence[int], ones: List[int], bit: int
-) -> TestPattern:
-    """Materialize packed pattern ``bit`` back into dict form.
+def patterns_from_rails(
+    input_ids: Sequence[int], ones: List[int], count: int, bits: Iterable[int]
+) -> List[TestPattern]:
+    """Materialize packed patterns ``bits`` back into dict form.
 
-    Only fully specified rails (every input bit set in exactly one
-    rail) round-trip; the assignments dict lists inputs in ``input_ids``
-    order, matching what :func:`random_pattern` builds.
+    ``ones`` holds fully specified rails ``count`` patterns wide (every
+    input bit is 1 in ``ones`` or else 0).  Each assignments dict lists
+    inputs in ``input_ids`` order, matching what :func:`random_pattern`
+    builds.  The rails are transposed once: each becomes one big-endian
+    byte row, so pattern ``bit`` is one byte column of the joined rows,
+    translated to its bit ``bit % 8``.
     """
-    mask = 1 << bit
-    return TestPattern(
-        {net_id: 1 if ones[net_id] & mask else 0 for net_id in input_ids}
-    )
+    width = (count + 7) // 8
+    rows = b"".join([ones[net_id].to_bytes(width, "big") for net_id in input_ids])
+    patterns = []
+    for bit in bits:
+        column = rows[width - 1 - bit // 8::width].translate(_BIT_OF[bit % 8])
+        patterns.append(TestPattern(dict(zip(input_ids, column))))
+    return patterns

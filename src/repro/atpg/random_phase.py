@@ -18,7 +18,7 @@ from ..runtime.abort import get_abort
 from .compiled import CompiledCircuit
 from .faults import Fault
 from .faultsim import FaultSimulator
-from .patterns import TestPattern, pattern_from_rails, random_pattern_rails
+from .patterns import TestPattern, patterns_from_rails, random_pattern_rails
 from .streams import stream_rails
 
 RANDOM_BATCHES = register_counter(
@@ -105,9 +105,10 @@ def _run_batches(
         # (the contract random_pattern_rails documents), with no
         # per-pattern dicts and no pack_patterns_flat repack.  Only the
         # handful of kept first detectors are materialized back into
-        # TestPattern form below.  When a chunk's yield stops the phase
-        # early, the already-drawn later chunks are simply discarded;
-        # the rng is local, so the over-draw leaks nowhere.
+        # TestPattern form below, by one patterns_from_rails transpose.
+        # When a chunk's yield stops the phase early, the already-drawn
+        # later chunks are simply discarded; the rng is local, so the
+        # over-draw leaks nowhere.
         chunk_count = min(lanes, max_batches - result.batches)
         count = batch_size * chunk_count
         if stream == 2:
@@ -126,6 +127,7 @@ def _run_batches(
         masks = simulator.detect_masks(good, count, result.remaining_faults)
         pairs = list(zip(result.remaining_faults, masks))
         stop = False
+        kept_bits: List[int] = []
         for chunk in range(chunk_count):
             base = chunk * batch_size
             first_detector = [False] * batch_size
@@ -141,16 +143,20 @@ def _run_batches(
             result.batches += 1
             result.detected += detected_here
             pairs = survivors
-            result.patterns.extend(
-                pattern_from_rails(input_ids, good.ones, base + bit)
-                for bit, keep in enumerate(first_detector)
-                if keep
+            kept_bits.extend(
+                base + bit for bit, keep in enumerate(first_detector) if keep
             )
             if detected_here < min_yield:
                 stop = True
                 break
             if not pairs:
                 break
+        # The kept first detectors of every replayed chunk, in chunk
+        # then pattern order, leave packed form in one transpose.
+        if kept_bits:
+            result.patterns.extend(
+                patterns_from_rails(input_ids, good.ones, count, kept_bits)
+            )
         result.remaining_faults = [fault for fault, _ in pairs]
         if stop:
             break

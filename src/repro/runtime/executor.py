@@ -367,7 +367,8 @@ def run_jobs(
                 result = results[index]
                 if result is None or (journal is None and cache is None):
                     continue
-                text = atpg_result_json(result)
+                with tracer.span("runtime.encode"):
+                    text = atpg_result_json(result)
                 if journal is not None:
                     journal.record(
                         keys[index], jobs[index].name, configs[index], result, text

@@ -19,7 +19,7 @@ from repro.atpg.backends import (
     resolve_backend,
 )
 from repro.atpg.compiled import CompiledCircuit
-from repro.atpg.engine import generate_n_detect_tests, generate_tests
+from repro.atpg.engine import _PatternBlock, generate_n_detect_tests, generate_tests
 from repro.atpg.faults import Fault, collapse_faults, full_fault_universe
 from repro.atpg.faultsim import (
     FaultSimulator,
@@ -33,12 +33,14 @@ from repro.atpg.logicsim import (
     simulate_flat_sparse,
 )
 from repro.atpg.patterns import random_pattern_rails
+from repro.atpg.podem import Podem, PodemOutcome
 from repro.errors import ConfigError
 from repro.runtime.config import AtpgConfig
 from repro.synth import GeneratorSpec, generate_circuit
 
 HAS_NUMPY = numpy_available()
 needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
+BACKENDS = ["pure", pytest.param("numpy", marks=needs_numpy)]
 
 
 def _circuit(seed=0, gates=400, inputs=16, xor_fraction=0.25):
@@ -241,6 +243,74 @@ def test_pack_full_patterns_matches_general_packer():
     ]
     assert pack_full_patterns_flat(circuit, patterns) == \
         pack_patterns_flat(circuit, patterns)
+
+
+def test_pack_full_patterns_any_key_order_and_missing_input():
+    """The byte-transpose packer reads inputs in ``input_ids`` order,
+    whatever order the dict lists them in, and rejects a missing one."""
+    circuit = CompiledCircuit(_circuit(16), backend="pure")
+    rng = random.Random(16)
+    patterns = []
+    for _ in range(70):
+        input_ids = list(circuit.input_ids)
+        rng.shuffle(input_ids)
+        patterns.append({n: rng.getrandbits(1) for n in input_ids})
+    assert pack_full_patterns_flat(circuit, patterns) == \
+        pack_patterns_flat(circuit, patterns)
+    assert pack_full_patterns_flat(circuit, []) == pack_patterns_flat(circuit, [])
+    del patterns[5][circuit.input_ids[3]]
+    with pytest.raises(KeyError):
+        pack_full_patterns_flat(circuit, patterns)
+
+
+def _podem_patterns(circuit, limit):
+    """Up to ``limit`` real (partial) PODEM patterns for ``circuit``."""
+    podem = Podem(circuit, backtrack_limit=50)
+    patterns = []
+    for fault in collapse_faults(circuit):
+        result = podem.generate(fault)
+        if result.outcome is PodemOutcome.DETECTED:
+            patterns.append(result.pattern)
+            if len(patterns) == limit:
+                break
+    return patterns
+
+
+def test_sparse_simulate_reports_touched_nets():
+    """``touched`` lists exactly the non-input nets the sweep left non-X."""
+    circuit = CompiledCircuit(_circuit(17, xor_fraction=0.3), backend="pure")
+    inputs = set(circuit.input_ids)
+    for pattern in _podem_patterns(circuit, 20):
+        ones, zeros = pack_patterns_flat(circuit, [pattern.assignments])
+        touched = []
+        simulate_flat_sparse(circuit, ones, zeros, 1, touched)
+        assert len(touched) == len(set(touched))
+        assert set(touched) == {
+            n for n in range(circuit.net_count)
+            if n not in inputs and (ones[n] or zeros[n])
+        }
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_pattern_block_touched_merge_matches_full_width_merge(backend):
+    """The block merges care bits plus touched nets only; the result
+    equals OR-merging full-sweep rails over every net."""
+    circuit = CompiledCircuit(_circuit(18, xor_fraction=0.3), backend=backend)
+    patterns = _podem_patterns(circuit, 40)
+    assert len(patterns) == 40
+    block = _PatternBlock(FaultSimulator(circuit))
+    want_ones = [0] * circuit.net_count
+    want_zeros = [0] * circuit.net_count
+    for shift, pattern in enumerate(patterns):
+        block.add(pattern)
+        ones, zeros = pack_patterns_flat(circuit, [pattern.assignments])
+        simulate_flat(circuit, ones, zeros, 1)
+        for net_id in range(circuit.net_count):
+            want_ones[net_id] |= ones[net_id] << shift
+            want_zeros[net_id] |= zeros[net_id] << shift
+    assert block.count == len(patterns)
+    assert block.ones == want_ones
+    assert block.zeros == want_zeros
 
 
 def test_collapse_universe_fast_path_matches_generic():

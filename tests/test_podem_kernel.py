@@ -7,13 +7,17 @@ implementation on randomized circuits:
   :meth:`Podem._imply` full sweeps, over random assign/undo walks and
   over complete searches;
 * :func:`random_pattern_rails` (direct packed generation) against the
-  per-pattern dict path, including the shared-RNG state contract;
+  per-pattern dict path, including the shared-RNG state contract, plus
+  a pinned digest of one large draw;
+* :func:`patterns_from_rails` against replayed :func:`random_pattern`;
 * :meth:`FaultSimulator.detect_masks` (batched, with the fanout-free
   region fast path for fully specified batches) against single-fault
   :meth:`detect_mask`.
 """
 
+import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,10 +30,9 @@ from repro.atpg import (
     collapse_faults,
     full_fault_universe,
 )
-from repro.atpg.faultsim import SIM_STATS, reset_sim_stats
 from repro.atpg.logicsim import pack_patterns_flat
 from repro.atpg.patterns import (
-    pattern_from_rails,
+    patterns_from_rails,
     random_pattern,
     random_pattern_rails,
 )
@@ -150,18 +153,55 @@ class TestPackedRandomPatterns:
         # them inside one run would shift every later draw.
         assert rng_rails.getstate() == rng_dicts.getstate()
 
-    def test_pattern_from_rails_round_trip(self):
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 256, 512])
+    def test_bulk_draw_matches_dict_path_at_width(self, count):
+        """Wide draws over 1,000 scattered inputs: rails and RNG state."""
+        net_count = 1500
+        input_ids = random.Random(count).sample(range(net_count), 1000)
+        rng_rails = random.Random(3)
+        rng_dicts = random.Random(3)
+        ones, zeros = random_pattern_rails(input_ids, rng_rails, count, net_count)
+        patterns = [random_pattern(input_ids, rng_dicts) for _ in range(count)]
+        want = pack_patterns_flat(
+            SimpleNamespace(net_count=net_count), [p.assignments for p in patterns]
+        )
+        assert (ones, zeros) == want
+        assert rng_rails.getstate() == rng_dicts.getstate()
+
+    def test_pinned_draw_digest(self):
+        """One 512 x 1,488 draw at seed 3, pinned byte for byte.
+
+        The bulk draw relies on CPython laying ``getrandbits`` words out
+        least significant first, one 32-bit word per ``getrandbits(1)``.
+        If that ever changes, this fails instead of Tables 1-2 silently
+        changing.
+        """
+        input_ids = list(range(1488))
+        rng = random.Random(3)
+        ones, _ = random_pattern_rails(input_ids, rng, 512, len(input_ids))
+        rails = b"".join(ones[n].to_bytes(64, "little") for n in input_ids)
+        assert hashlib.sha256(rails).hexdigest() == (
+            "dfb9402dc9ca4027135ede32ecfe661cc121f10861ea9d6f9fa86dc619d9a0d1"
+        )
+        assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+            "ca53314286dcad0efa00288c0665f08bddf31fce1d84a2cc8f45cb01f2a9da5e"
+        )
+
+    @pytest.mark.parametrize("count", [1, 23, 130])
+    def test_patterns_from_rails_round_trip(self, count):
         circuit = make_circuit(7, gates=60)
         rng = random.Random(42)
-        count = 23
         ones, _ = random_pattern_rails(
             circuit.input_ids, rng, count, circuit.net_count
         )
         rng_replay = random.Random(42)
-        for bit in range(count):
-            want = random_pattern(circuit.input_ids, rng_replay)
-            got = pattern_from_rails(circuit.input_ids, ones, bit)
-            assert got.assignments == want.assignments
+        want = [random_pattern(circuit.input_ids, rng_replay) for _ in range(count)]
+        bits = sorted(random.Random(count).sample(range(count), (count + 1) // 2))
+        got = patterns_from_rails(circuit.input_ids, ones, count, bits)
+        assert [p.assignments for p in got] == [want[b].assignments for b in bits]
+        for pattern in got:
+            assert list(pattern.assignments) == list(circuit.input_ids)
+            assert all(type(v) is int for v in pattern.assignments.values())
 
 
 class TestDetectMasksBatch:
@@ -203,20 +243,3 @@ class TestDetectMasksBatch:
             assert mask == simulator.detect_mask(good, count, fault), (
                 fault.describe(circuit)
             )
-
-    def test_good_value_cache_hit_on_replayed_batch(self):
-        circuit = make_circuit(5, gates=80)
-        rng = random.Random(77)
-        patterns = [
-            {n: rng.getrandbits(1) for n in circuit.input_ids}
-            for _ in range(16)
-        ]
-        simulator = FaultSimulator(circuit)
-        reset_sim_stats()
-        first, count1 = simulator.good_values(patterns)
-        hits_after_first = SIM_STATS["good_cache_hits"]
-        second, count2 = simulator.good_values(patterns)
-        assert SIM_STATS["good_cache_hits"] == hits_after_first + 1
-        assert count1 == count2
-        assert first is second
-
